@@ -18,7 +18,7 @@ from .coherence import (COHERENCE_MAX, COHERENCE_MIN, RAMSEY_THERMOMETRY_FACTOR,
                         scattering_decay_rate_rk4, scattering_params,
                         t2_gradient, t2_time, temperature_from_ramsey_t2star)
 from .errors import (ConfigError, DomainError, FitConvergenceError, TrapcohError,
-                     UnidentifiableModelError, UnsupportedRegimeError)
+                     UnidentifiableModelError)
 from .fitting import (FitResult, fit_coherence_decay, fit_exponential,
                       fit_fringe, fit_ramsey_decay)
 from .noise import (NoiseSpectrum, TimeSeries, dbc_to_psd, estimate_psd,
@@ -33,8 +33,7 @@ from .sequences import (FilterCurve, FringeSample, PulseSequence, cpmg,
 from .trap import (AtomSpecies, FixedOccupation, ThermalOccupation, TrapConfig,
                    cesium_eta, cesium_species, dls_mean, dls_sigma,
                    effective_detuning, eta_from_detuning, mean_phonon_number,
-                   thermal_average_dls_sigma, thermal_cutoff, thermal_moments,
-                   thermal_probability)
+                   thermal_average_dls_sigma, thermal_moments, thermal_probability)
 
 try:
     __version__ = version("trapcoh")
@@ -48,7 +47,7 @@ __all__ = [
     "FixedOccupation", "FringeSample", "NoiseSpectrum", "PulseSequence",
     "ScatteringParams", "ThermalOccupation", "TimeSeries", "TrapConfig",
     "TrapNoise", "TrapcohError", "UnidentifiableModelError",
-    "UnsupportedRegimeError", "analytic_series", "axis_jump_rate",
+    "analytic_series", "axis_jump_rate",
     "cesium_eta", "cesium_species", "classical_thermal_rate", "coherence",
     "cpmg", "dbc_to_psd", "dls_mean", "dls_sigma", "effective_detuning",
     "estimate_psd", "eta_from_detuning", "filter_function", "filtered_sigma",
@@ -60,6 +59,6 @@ __all__ = [
     "scattering_decay_rate_rk4", "scattering_params", "simulate_fringe",
     "spin_echo", "survival_probability", "t2_gradient", "t2_time",
     "temperature_from_ramsey_t2star", "thermal_average_dls_sigma",
-    "thermal_average_pjr", "thermal_cutoff", "thermal_moments",
+    "thermal_average_pjr", "thermal_moments",
     "thermal_probability", "total_jump_rate",
 ]

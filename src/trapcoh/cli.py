@@ -13,61 +13,44 @@ environment variable when set.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, report
-from .coherence import (CoherenceSeries, DecayParams, analytic_series,
+from . import __version__, io, report
+from .coherence import (CoherenceSeries, DecayParams, analytic_series, coherence,
                         gaussian_channel_mc, t2_time)
 from .errors import ConfigError, DomainError, TrapcohError
-from .fitting import (fit_coherence_decay, fit_exponential, fit_fringe,
-                      fit_ramsey_decay)
+from .fitting import (_ramsey_from_decay, fit_coherence_decay, fit_exponential,
+                      fit_fringe)
 from .noise import NoiseSpectrum, TimeSeries, estimate_psd, relative_variance
 from .phonon import (TrapNoise, classical_thermal_rate, first_jump_survival_mc,
                      thermal_average_pjr, total_jump_rate)
-from .sequences import (PulseSequence, cpmg, filtered_sigma, ramsey,
+from .sequences import (FilterCurve, PulseSequence, cpmg, filtered_sigma, ramsey,
                         sample_filter, spin_echo)
 from .trap import (FixedOccupation, ThermalOccupation, TrapConfig, dls_sigma,
                    thermal_average_dls_sigma)
 
 log = logging.getLogger("trapcoh")
 
-FIT_MODELS = ("coherence", "fringe", "exponential", "ramsey")
+#: CSV columns each fit model needs; a "sigma" column, when present, weights the fit
+FIT_COLUMNS = {"coherence": CoherenceSeries.COLUMNS, "fringe": ("phase_rad", "population"),
+               "exponential": ("t_s", "survival"), "ramsey": CoherenceSeries.COLUMNS}
 
 
-def _sha256_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _read(value, inputs):
+    """(bytes, source) of a path or preset name; records its digest in inputs."""
+    data, key, digest = io.resolve(value)
+    inputs[key] = digest
+    return data, key
 
 
-def _sha256_preset(name) -> str:
-    data = resources.files("trapcoh.data").joinpath(f"{name}.json").read_bytes()
-    return hashlib.sha256(data).hexdigest()
-
-
-def _load_config(value, inputs):
-    """Trap config from a file path or a bundled preset name."""
-    if os.path.exists(value):
-        inputs[str(value)] = _sha256_file(value)
-        return TrapConfig.load(value)
-    cfg = TrapConfig.load_preset(value)
-    inputs[f"preset:{value}"] = _sha256_preset(value)
-    return cfg
-
-
-def _load_spectrum(value, inputs):
-    if os.path.exists(value):
-        inputs[str(value)] = _sha256_file(value)
-        return NoiseSpectrum.load(value)
-    spec = NoiseSpectrum.load_preset(value)
-    inputs[f"preset:{value}"] = _sha256_preset(value)
-    return spec
+def _load(cls, value, inputs):
+    return cls.from_json_obj(io.parse_json(*_read(value, inputs)))
 
 
 def _outdir(args) -> Path:
@@ -87,27 +70,21 @@ def _emit(doc) -> int:
 
 
 def _parse_occupation(text) -> FixedOccupation:
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise ConfigError("occupation must be three comma-separated integers",
-                          kind="parse_error")
-    try:
-        nx, ny, nz = (int(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad occupation {text!r}: {exc}", kind="parse_error") from exc
+    with io.parsing(f"occupation {text!r}"):
+        nx, ny, nz = (int(p) for p in text.split(","))
     return FixedOccupation(nx, ny, nz)
 
 
 def _trap_noise(args, inputs) -> TrapNoise:
-    spring = _load_spectrum(args.spring_psd, inputs) if args.spring_psd else None
-    position = _load_spectrum(args.position_psd, inputs) if args.position_psd else None
+    spring = _load(NoiseSpectrum, args.spring_psd, inputs) if args.spring_psd else None
+    position = _load(NoiseSpectrum, args.position_psd, inputs) if args.position_psd else None
     return TrapNoise.uniform(spring=spring, position=position)
 
 
 def cmd_simulate(args) -> int:
     inputs = {}
     out = _outdir(args)
-    cfg = _load_config(args.config, inputs)
+    cfg = _load(TrapConfig, args.config, inputs)
     noise = _trap_noise(args, inputs)
 
     if args.temperature is not None:
@@ -128,7 +105,8 @@ def cmd_simulate(args) -> int:
     grid = np.linspace(0.0, args.t_max, args.points)
     analytic = analytic_series(params, grid)
     analytic_path = out / "analytic.csv"
-    analytic.to_csv(analytic_path)
+    io.write_csv(analytic_path, CoherenceSeries.COLUMNS,
+                 analytic.t_s, analytic.coherence, analytic.sigma)
 
     mc_gauss = gaussian_channel_mc(sigma, args.n_traj, args.seed, grid)
     surv = first_jump_survival_mc(pjr, args.n_traj, args.seed + 1, grid)
@@ -138,12 +116,11 @@ def cmd_simulate(args) -> int:
                            + (mc_gauss.coherence * surv_err) ** 2)
     mc_series = CoherenceSeries(grid, combined, combined_err)
     mc_path = out / "montecarlo.csv"
-    mc_series.to_csv(mc_path)
+    io.write_csv(mc_path, CoherenceSeries.COLUMNS,
+                 mc_series.t_s, mc_series.coherence, mc_series.sigma)
 
     params_path = out / "params.json"
-    with open(params_path, "w") as fh:
-        json.dump(params.to_json_obj(), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    io.write_json(params_path, params.to_json_obj())
 
     doc = {
         "command": "simulate",
@@ -157,70 +134,38 @@ def cmd_simulate(args) -> int:
     return _emit(doc)
 
 
-def _read_columns(path, required):
-    """CSV columns by header name; returns dict of float arrays."""
-    try:
-        with open(path) as fh:
-            header = [h.strip() for h in fh.readline().strip().split(",")]
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-    except FileNotFoundError as exc:
-        raise ConfigError(f"data file not found: {path}", kind="config_not_found") from exc
-    missing = [c for c in required if c not in header]
-    if missing:
-        raise ConfigError(f"{path}: missing columns {missing}, header {header}",
-                          kind="parse_error")
-    try:
-        cols = {name: np.array([float(r[header.index(name)]) for r in rows])
-                for name in header}
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"{path}: {exc}", kind="parse_error") from exc
-    return cols
-
-
-def _write_residuals(path, x_name, x, observed, modeled):
-    with open(path, "w") as fh:
-        fh.write(f"{x_name},observed,model,residual\n")
-        for xi, oi, mi in zip(x, observed, modeled):
-            fh.write(f"{float(xi)!r},{float(oi)!r},{float(mi)!r},{float(oi - mi)!r}\n")
-
-
 def cmd_fit(args) -> int:
-    inputs = {str(args.data): _sha256_file(args.data)} if os.path.exists(args.data) \
-        else {}
+    inputs = {}
     out = _outdir(args)
+    cols = io.parse_csv(*_read(args.data, inputs), FIT_COLUMNS[args.model])
 
     if args.model in ("coherence", "ramsey"):
-        series = CoherenceSeries.from_csv(args.data)
-        decay = fit_coherence_decay(series)
-        if args.model == "ramsey":
-            eta = args.eta
-            if eta is None and args.config is not None:
-                eta = _load_config(args.config, inputs).eta
-            if eta is None:
+        eta = args.eta
+        if args.model == "ramsey" and eta is None:
+            if args.config is None:
                 raise ConfigError("ramsey fit needs --eta or --config",
                                   kind="parse_error")
-            result = fit_ramsey_decay(series, eta)
-        else:
-            result = decay
+            eta = _load(TrapConfig, args.config, inputs).eta
+        series = CoherenceSeries(*(cols[name] for name in CoherenceSeries.COLUMNS))
+        decay = fit_coherence_decay(series)
+        result = _ramsey_from_decay(decay, eta) if args.model == "ramsey" else decay
         x_name, x, y = "t_s", series.t_s, series.coherence
-        p = DecayParams(decay.params["sigma_dls_rad_s"], decay.params["pjr_per_s"])
-        modeled = np.exp(-0.5 * (p.sigma_dls * x) ** 2 - p.pjr * x)
+        modeled = coherence(DecayParams(decay.params["sigma_dls_rad_s"],
+                                        decay.params["pjr_per_s"]), x)
     elif args.model == "fringe":
-        cols = _read_columns(args.data, ["phase_rad", "population"])
-        sigma = cols.get("sigma")
-        result = fit_fringe(cols["phase_rad"], cols["population"], sigma)
+        result = fit_fringe(cols["phase_rad"], cols["population"], cols.get("sigma"))
         x_name, x, y = "phase_rad", cols["phase_rad"], cols["population"]
         modeled = (result.params["baseline"] + 0.5 * result.params["amplitude"]
                    * np.cos(x - result.params["phase_rad"]))
     else:
-        cols = _read_columns(args.data, ["t_s", "survival"])
         result = fit_exponential(cols["t_s"], cols["survival"], cols.get("sigma"))
         x_name, x, y = "t_s", cols["t_s"], cols["survival"]
         modeled = (result.params["amplitude"]
                    * np.exp(-x / result.params["lifetime_s"]))
 
     residuals_path = out / "residuals.csv"
-    _write_residuals(residuals_path, x_name, x, y, modeled)
+    io.write_csv(residuals_path, (x_name, "observed", "model", "residual"),
+                 x, y, modeled, y - modeled)
     log.info("fit rss=%g, wrote %s", result.rss, residuals_path)
 
     doc = result.to_json_obj()
@@ -230,15 +175,14 @@ def cmd_fit(args) -> int:
 
 
 def cmd_psd(args) -> int:
-    inputs = {str(args.data): _sha256_file(args.data)} if os.path.exists(args.data) \
-        else {}
+    inputs = {}
     out = _outdir(args)
-    series = TimeSeries.from_csv(args.data)
+    series = TimeSeries.parse(*_read(args.data, inputs))
     spectrum = estimate_psd(series, args.segment_length, args.overlap, kind=args.kind)
     csv_path = out / "psd.csv"
     json_path = out / "psd.json"
-    spectrum.to_csv(csv_path)
-    spectrum.save(json_path)
+    io.write_csv(csv_path, NoiseSpectrum.COLUMNS, spectrum.frequencies_hz, spectrum.psd)
+    io.write_json(json_path, spectrum.to_json_obj())
     integral = float(np.trapezoid(spectrum.psd, spectrum.frequencies_hz))
     doc = {
         "command": "psd",
@@ -268,21 +212,24 @@ def _build_sequence(args, inputs) -> PulseSequence:
         if args.interval is None:
             raise ConfigError("--cpmg needs --interval", kind="parse_error")
         return cpmg(args.cpmg, args.interval)
-    inputs[str(args.sequence)] = _sha256_file(args.sequence)
-    return PulseSequence.load(args.sequence)
+    return _load(PulseSequence, args.sequence, inputs)
 
 
 def cmd_filter(args) -> int:
     inputs = {}
+    if not 0.0 < args.f_min < args.f_max:
+        raise DomainError("frequency range must satisfy 0 < f_min < f_max")
+    if args.points < 1:
+        raise DomainError("need at least one frequency point")
     out = _outdir(args)
     seq = _build_sequence(args, inputs)
     freqs = np.logspace(np.log10(args.f_min), np.log10(args.f_max), args.points)
     curve = sample_filter(seq, freqs)
     csv_path = out / "filter.csv"
-    curve.to_csv(csv_path)
+    io.write_csv(csv_path, FilterCurve.COLUMNS, curve.f_hz, curve.values)
     sigma_eff = None
     if args.dls_psd is not None:
-        psd = _load_spectrum(args.dls_psd, inputs)
+        psd = _load(NoiseSpectrum, args.dls_psd, inputs)
         sigma_eff = filtered_sigma(seq, psd, band=(args.f_min, args.f_max))
     doc = {
         "command": "filter",
@@ -297,7 +244,7 @@ def cmd_filter(args) -> int:
 
 def cmd_estimate_rates(args) -> int:
     inputs = {}
-    cfg = _load_config(args.config, inputs)
+    cfg = _load(TrapConfig, args.config, inputs)
     noise = _trap_noise(args, inputs)
     if args.occupation is None and args.temperature is None:
         raise ConfigError("give --occupation and/or --temperature", kind="parse_error")
@@ -334,11 +281,9 @@ def cmd_report(args) -> int:
     doc = report.to_json_obj(rows)
     doc["meta"] = _meta({}, args.seed)
     md_path = out / "report.md"
-    md_path.write_text(report.to_markdown(rows))
+    io.write_text(md_path, report.to_markdown(rows))
     json_path = out / "report.json"
-    with open(json_path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    io.write_json(json_path, doc)
     doc["files"] = {"markdown": str(md_path), "json": str(json_path)}
     _emit(doc)
     if not report.all_passed(rows):
@@ -374,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fit = sub.add_parser("fit", help="least-squares parameter extraction")
     fit.add_argument("--data", required=True, help="input CSV")
-    fit.add_argument("--model", required=True, choices=FIT_MODELS)
+    fit.add_argument("--model", required=True, choices=tuple(FIT_COLUMNS))
     fit.add_argument("--eta", type=float, help="shift ratio for the ramsey model")
     fit.add_argument("--config", help="trap config supplying eta for the ramsey model")
     fit.add_argument("--outdir")
@@ -426,21 +371,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        json.dump({"error": {"kind": exc.kind, "message": str(exc)}},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
-    except DomainError as exc:
-        json.dump({"error": {"kind": exc.kind, "message": str(exc)}},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        return 2
     except TrapcohError as exc:
         json.dump({"error": {"kind": exc.kind, "message": str(exc)}},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")
-        return 3
+        # bad input is exit 2; a numerical failure (fit, report) is exit 3
+        return 2 if isinstance(exc, (ConfigError, DomainError)) else 3
 
 
 if __name__ == "__main__":

@@ -11,14 +11,14 @@ pjr (1/s). The 1/e coherence time solves sigma**2 t**2 / 2 + R t = 1.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .constants import BOLTZMANN, HBAR
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 #: calibration factor of the Ramsey-contrast thermometry relation
 RAMSEY_THERMOMETRY_FACTOR = 0.97
@@ -36,18 +36,17 @@ class DecayParams:
     pjr: float        # 1/s, exponential channel rate (>= 0)
 
     def __post_init__(self):
-        if self.sigma_dls < 0.0 or self.pjr < 0.0:
-            raise DomainError("decay parameters must be nonnegative")
+        # written so that NaN fails the comparisons as well
+        if not (0.0 <= self.sigma_dls < math.inf and 0.0 <= self.pjr < math.inf):
+            raise DomainError("decay parameters must be finite and nonnegative")
 
     def to_json_obj(self):
         return {"sigma_dls_rad_s": self.sigma_dls, "pjr_per_s": self.pjr}
 
     @classmethod
     def from_json_obj(cls, obj):
-        try:
+        with io.parsing("decay parameters"):
             return cls(float(obj["sigma_dls_rad_s"]), float(obj["pjr_per_s"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed decay parameters: {exc}", kind="parse_error") from exc
 
 
 def coherence(params: DecayParams, t):
@@ -59,27 +58,25 @@ def coherence(params: DecayParams, t):
 
 
 def t2_time(params: DecayParams) -> float:
-    """1/e coherence time: positive root of sigma**2 t**2 / 2 + R t = 1."""
+    """1/e coherence time: positive root of sigma**2 t**2 / 2 + R t = 1.
+
+    Uses t2 = 2 / (R + sqrt(R**2 + 2 sigma**2)), the root with the
+    numerator rationalized: the textbook (-R + sqrt(...)) / sigma**2
+    cancels when sigma << R.
+    """
     s, r = params.sigma_dls, params.pjr
     if s == 0.0 and r == 0.0:
         raise DomainError("no decay channel, 1/e time undefined")
-    if s == 0.0:
-        return 1.0 / r
-    return (-r + math.sqrt(r * r + 2.0 * s * s)) / (s * s)
+    return 2.0 / (r + math.sqrt(r * r + 2.0 * s * s))
 
 
 def t2_gradient(params: DecayParams):
     """(d t2 / d sigma, d t2 / d R) of the closed form, for error propagation."""
     s, r = params.sigma_dls, params.pjr
-    if s == 0.0:
-        if r == 0.0:
-            raise DomainError("no decay channel, 1/e time undefined")
-        # limit of the closed form as sigma -> 0: t2 = 1/r - sigma^2/r^3 + ...
-        return 0.0, -1.0 / (r * r)
+    t2 = t2_time(params)
     d = math.sqrt(r * r + 2.0 * s * s)
-    dt_dr = (r / d - 1.0) / (s * s)
-    dt_ds = 2.0 * (s * s / d - (d - r)) / (s ** 3)
-    return dt_ds, dt_dr
+    # t2 = 2 / (R + d), so d t2 / d (R + d) = -t2**2 / 2
+    return -t2 * t2 * s / d, -0.5 * t2 * t2 * (1.0 + r / d)
 
 
 def lifetime_corrected_t2(t2_measured, atom_lifetime) -> float:
@@ -199,12 +196,16 @@ class CoherenceSeries:
     coherence: np.ndarray
     sigma: np.ndarray
 
+    COLUMNS = ("t_s", "coherence", "sigma")
+
     def __post_init__(self):
         t = np.atleast_1d(np.asarray(self.t_s, dtype=float))
         c = np.atleast_1d(np.asarray(self.coherence, dtype=float))
         s = np.atleast_1d(np.asarray(self.sigma, dtype=float))
         if not (t.shape == c.shape == s.shape) or t.ndim != 1 or t.size == 0:
             raise DomainError("series needs matching 1-d t, coherence, sigma arrays")
+        if not np.all(np.isfinite([t, c, s])):
+            raise DomainError("series values must be finite")
         if np.any(np.diff(t) <= 0.0):
             raise DomainError("times must be strictly increasing")
         if np.any(t < 0.0):
@@ -221,63 +222,18 @@ class CoherenceSeries:
     def __len__(self):
         return self.t_s.size
 
-    def to_csv(self, path):
-        """Write 't_s,coherence,sigma' rows; floats use repr, so a read
-        back is bit-exact."""
-        with open(path, "w") as fh:
-            fh.write("t_s,coherence,sigma\n")
-            for t, c, s in zip(self.t_s, self.coherence, self.sigma):
-                fh.write(f"{float(t)!r},{float(c)!r},{float(s)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        try:
-            with open(path) as fh:
-                header = fh.readline().strip()
-                if header != "t_s,coherence,sigma":
-                    raise ConfigError(
-                        f"expected header 't_s,coherence,sigma' in {path}, got {header!r}",
-                        kind="parse_error")
-                rows = [line.strip().split(",") for line in fh if line.strip()]
-        except FileNotFoundError as exc:
-            raise ConfigError(f"series file not found: {path}", kind="config_not_found") from exc
-        try:
-            t = np.array([float(r[0]) for r in rows])
-            c = np.array([float(r[1]) for r in rows])
-            s = np.array([float(r[2]) for r in rows])
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"cannot parse series {path}: {exc}", kind="parse_error") from exc
-        return cls(t, c, s)
-
     def to_json_obj(self):
         return {"points": [[float(t), float(c), float(s)]
                            for t, c, s in zip(self.t_s, self.coherence, self.sigma)]}
 
     @classmethod
     def from_json_obj(cls, obj):
-        try:
+        with io.parsing("series object"):
             pts = obj["points"]
             t = np.array([p[0] for p in pts], dtype=float)
             c = np.array([p[1] for p in pts], dtype=float)
             s = np.array([p[2] for p in pts], dtype=float)
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ConfigError(f"malformed series object: {exc}", kind="parse_error") from exc
         return cls(t, c, s)
-
-    def save_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh)
-            fh.write("\n")
-
-    @classmethod
-    def load_json(cls, path):
-        try:
-            with open(path) as fh:
-                return cls.from_json_obj(json.load(fh))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"series file not found: {path}", kind="config_not_found") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}", kind="parse_error") from exc
 
 
 def analytic_series(params: DecayParams, times) -> CoherenceSeries:

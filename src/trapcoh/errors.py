@@ -28,12 +28,6 @@ class DomainError(TrapcohError, ValueError):
     kind = "domain_error"
 
 
-class UnsupportedRegimeError(TrapcohError):
-    """Requested evaluation exceeds the supported numerical regime."""
-
-    kind = "unsupported_regime"
-
-
 class UnidentifiableModelError(TrapcohError):
     """Data cannot constrain the requested model (degenerate input)."""
 

@@ -305,7 +305,11 @@ def fit_ramsey_decay(series, eta) -> FitResult:
     to temperature via the thermometry relation with the supplied eta.
     Uncertainties propagate through the closed-form 1/e time gradient.
     """
-    inner = fit_coherence_decay(series)
+    return _ramsey_from_decay(fit_coherence_decay(series), eta)
+
+
+def _ramsey_from_decay(inner: FitResult, eta) -> FitResult:
+    """fit_ramsey_decay on an existing fit_coherence_decay result."""
     params = DecayParams(inner.params["sigma_dls_rad_s"], inner.params["pjr_per_s"])
     t2star = t2_time(params)
     grad = np.array(t2_gradient(params))

@@ -8,14 +8,13 @@ S(omega) = S(f) / (2 pi); that conversion happens in exactly one place,
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 from scipy import signal
 
-from .errors import ConfigError, DomainError
+from . import io
+from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
 
@@ -62,6 +61,8 @@ class NoiseSpectrum:
     kind: str
     frequencies_hz: np.ndarray
     psd: np.ndarray
+
+    COLUMNS = ("f_hz", "psd")
 
     def __post_init__(self):
         f = np.atleast_1d(np.asarray(self.frequencies_hz, dtype=float))
@@ -126,44 +127,17 @@ class NoiseSpectrum:
 
     @classmethod
     def from_json_obj(cls, obj):
-        try:
+        with io.parsing("spectrum object"):
             kind = obj["kind"]
             samples = obj["samples"]
             f = np.array([s[0] for s in samples], dtype=float)
             p = np.array([s[1] for s in samples], dtype=float)
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ConfigError(f"malformed spectrum object: {exc}", kind="parse_error") from exc
         return cls(kind, f, p)
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"spectrum file not found: {path}", kind="config_not_found") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}", kind="parse_error") from exc
-        return cls.from_json_obj(obj)
 
     @classmethod
     def load_preset(cls, name):
         """Load a bundled spectrum by bare name, e.g. 'rin_40db'."""
-        ref = resources.files("trapcoh.data").joinpath(f"{name}.json")
-        if not ref.is_file():
-            raise ConfigError(f"no bundled spectrum named {name!r}", kind="config_not_found")
-        return cls.from_json_obj(json.loads(ref.read_text()))
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("f_hz,psd\n")
-            for f, p in zip(self.frequencies_hz, self.psd):
-                fh.write(f"{float(f)!r},{float(p)!r}\n")
+        return cls.from_json_obj(io.read_preset(name))
 
 
 @dataclass(frozen=True)
@@ -186,33 +160,22 @@ class TimeSeries:
         return self.samples.size / self.sample_rate_hz
 
     @classmethod
-    def from_csv(cls, path):
-        """Read a two-column record (t_s, power_w), CSV or whitespace separated."""
-        try:
-            with open(path) as fh:
-                first = fh.readline()
-        except FileNotFoundError as exc:
-            raise ConfigError(f"time series file not found: {path}", kind="config_not_found") from exc
-        skip = 1 if any(c.isalpha() for c in first) else 0
-        delim = "," if "," in first else None
-        try:
-            data = np.loadtxt(path, delimiter=delim, skiprows=skip)
-        except ValueError as exc:
-            raise ConfigError(f"cannot parse time series {path}: {exc}", kind="parse_error") from exc
-        if data.ndim != 2 or data.shape[1] < 2 or data.shape[0] < 2:
-            raise ConfigError(f"time series {path} needs two columns (t_s, value)", kind="parse_error")
-        t, x = data[:, 0], data[:, 1]
-        dt = np.diff(t)
-        if np.any(dt <= 0.0) or (dt.max() - dt.min()) > 1e-6 * dt.mean():
-            raise ConfigError("time column must be uniform and increasing", kind="parse_error")
+    def parse(cls, data, source):
+        """Two-column record (t_s, power_w), CSV or whitespace separated, from
+        the bytes `data` read from `source`."""
+        with io.parsing(source):
+            lines = data.decode().splitlines()
+            first = lines[0] if lines else ""
+            skip = 1 if any(c.isalpha() for c in first) else 0
+            delim = "," if "," in first else None
+            table = np.loadtxt(lines, delimiter=delim, skiprows=skip)
+            if table.ndim != 2 or table.shape[1] < 2 or table.shape[0] < 2:
+                raise ValueError("needs two columns (t_s, value) and two rows")
+            t, x = table[:, 0], table[:, 1]
+            dt = np.diff(t)
+            if np.any(dt <= 0.0) or (dt.max() - dt.min()) > 1e-6 * dt.mean():
+                raise ValueError("time column must be uniform and increasing")
         return cls(1.0 / dt.mean(), x)
-
-    def to_csv(self, path):
-        t = np.arange(self.samples.size) / self.sample_rate_hz
-        with open(path, "w") as fh:
-            fh.write("t_s,power_w\n")
-            for ti, xi in zip(t, self.samples):
-                fh.write(f"{float(ti)!r},{float(xi)!r}\n")
 
 
 def relative_variance(series: TimeSeries) -> float:

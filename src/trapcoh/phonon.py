@@ -175,8 +175,8 @@ def thermal_average_pjr(cfg: TrapConfig, noise: TrapNoise, dist: ThermalOccupati
 
     The rate is additive across axes and polynomial in each n_q, so the
     probability-weighted sum over the product distribution reduces to
-    per-axis moments E[n] and E[n^2], evaluated by truncated summation
-    (tail mass < 1e-9 per axis, monotone in every nbar).
+    per-axis moments E[n] and E[n^2], which thermal_moments gives in
+    closed form (monotone in every nbar).
     """
     total = 0.0
     for axis, omega, nbar in zip(AXES, cfg.omegas, dist.means):

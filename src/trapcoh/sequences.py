@@ -17,13 +17,13 @@ filtered through a sequence gives the effective Gaussian channel width
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import io
 from .coherence import DecayParams, coherence
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .noise import NoiseSpectrum
 
 TWO_PI = 2.0 * np.pi
@@ -66,25 +66,8 @@ class PulseSequence:
 
     @classmethod
     def from_json_obj(cls, obj):
-        try:
+        with io.parsing("pulse sequence"):
             return cls(float(obj["t_total_s"]), tuple(obj["pi_pulses_s"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed pulse sequence: {exc}", kind="parse_error") from exc
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        try:
-            with open(path) as fh:
-                return cls.from_json_obj(json.load(fh))
-        except FileNotFoundError as exc:
-            raise ConfigError(f"sequence file not found: {path}", kind="config_not_found") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}", kind="parse_error") from exc
 
 
 def ramsey(t_total_s) -> PulseSequence:
@@ -141,23 +124,7 @@ class FilterCurve:
     f_hz: np.ndarray
     values: np.ndarray
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("f_hz,filter\n")
-            for f, v in zip(self.f_hz, self.values):
-                fh.write(f"{float(f)!r},{float(v)!r}\n")
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "f_hz,filter":
-                raise ConfigError(f"expected header 'f_hz,filter', got {header!r}",
-                                  kind="parse_error")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        f = np.array([float(r[0]) for r in rows])
-        v = np.array([float(r[1]) for r in rows])
-        return cls(f, v)
+    COLUMNS = ("f_hz", "filter")
 
 
 def sample_filter(seq: PulseSequence, f_hz) -> FilterCurve:
@@ -200,12 +167,6 @@ class FringeSample:
         """Binomial standard error per point (floored for empty bins)."""
         p = self.population
         return np.sqrt(np.maximum(p * (1.0 - p), 0.25 / self.shots) / self.shots)
-
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("phase_rad,population,sigma\n")
-            for ph, p, s in zip(self.phases_rad, self.population, self.sigma):
-                fh.write(f"{float(ph)!r},{float(p)!r},{float(s)!r}\n")
 
 
 def simulate_fringe(params: DecayParams, seq: PulseSequence, phases_rad,

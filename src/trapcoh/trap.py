@@ -19,22 +19,15 @@ dls_sigma is signed; decay-model consumers use its magnitude.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
-from . import constants
-from .errors import ConfigError, DomainError, UnsupportedRegimeError
+from . import constants, io
+from .errors import DomainError
 
 AXES = ("x", "y", "z")
-
-#: per-axis probability mass allowed beyond the thermal summation cutoff
-THERMAL_TAIL_MASS = 1e-9
-#: hard per-axis ceiling on the summation cutoff
-THERMAL_MAX_LEVELS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -117,7 +110,7 @@ class TrapConfig:
 
     @classmethod
     def from_json_obj(cls, obj):
-        try:
+        with io.parsing("trap config"):
             species = AtomSpecies(
                 mass_kg=float(obj["mass_kg"]),
                 omega_hfs_rad_s=float(obj["omega_hfs_rad_s"]),
@@ -133,32 +126,11 @@ class TrapConfig:
                 p0_watt=float(obj["p0_watt"]),
                 sigma_p_watt=float(obj["sigma_p_watt"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed trap config: {exc}", kind="parse_error") from exc
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_obj(), fh, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"trap config not found: {path}", kind="config_not_found") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}", kind="parse_error") from exc
-        return cls.from_json_obj(obj)
 
     @classmethod
     def load_preset(cls, name):
         """Load a bundled preset by bare name, e.g. 'cs133' or 'bbt780'."""
-        ref = resources.files("trapcoh.data").joinpath(f"{name}.json")
-        if not ref.is_file():
-            raise ConfigError(f"no bundled preset named {name!r}", kind="config_not_found")
-        return cls.from_json_obj(json.loads(ref.read_text()))
+        return cls.from_json_obj(io.read_preset(name))
 
 
 @dataclass(frozen=True)
@@ -286,46 +258,26 @@ def thermal_probability(nbar, n):
     return np.exp(nf * math.log(nbar) - (nf + 1.0) * math.log(nbar + 1.0))
 
 
-def thermal_cutoff(nbar, tail_mass=THERMAL_TAIL_MASS) -> int:
-    """Smallest N with P(n > N) < tail_mass for the geometric distribution."""
+def thermal_moments(nbar):
+    """First and second moments (E[n], E[n^2]) = (nbar, 2 nbar^2 + nbar) of the
+    geometric occupancy distribution, exact in closed form."""
     if nbar < 0.0:
         raise DomainError("mean phonon number must be nonnegative")
-    if nbar == 0.0:
-        return 0
-    # P(n > N) = (nbar / (nbar + 1))**(N + 1)
-    n = math.ceil(math.log(tail_mass) / math.log(nbar / (nbar + 1.0))) - 1
-    n = max(n, 0)
-    if n > THERMAL_MAX_LEVELS:
-        raise UnsupportedRegimeError(
-            f"thermal summation would need {n} levels per axis "
-            f"(limit {THERMAL_MAX_LEVELS}); regime not supported")
-    return n
-
-
-def thermal_moments(nbar):
-    """Truncated first and second moments (E[n], E[n^2]) of the occupancy."""
-    cut = thermal_cutoff(nbar)
-    n = np.arange(cut + 1)
-    p = thermal_probability(nbar, n)
-    nf = n.astype(float)
-    return float(np.sum(p * nf)), float(np.sum(p * nf * nf))
+    return float(nbar), float(2.0 * nbar * nbar + nbar)
 
 
 def thermal_average_dls_sigma(cfg: TrapConfig, dist: ThermalOccupation) -> float:
     """sqrt of the thermally averaged dls_sigma**2 (rad/s).
 
     dls_sigma is affine in the per-axis phonon numbers, so the average of
-    its square reduces to per-axis first and second moments; those are
-    evaluated by direct truncated summation (tail mass < 1e-9 per axis).
+    its square reduces to the per-axis means nbar and variances
+    nbar (nbar + 1) of the geometric distribution.
     """
     rel = cfg.relative_power_spread
     base = rel * (-cfg.eta * cfg.u0_joule / constants.HBAR
                   + 0.125 * cfg.eta * np.sum(cfg.omegas))
     slope = rel * 0.25 * cfg.eta * cfg.omegas  # per-axis coefficient of n_q
-    m1 = np.empty(3)
-    m2 = np.empty(3)
-    for i, nb in enumerate(dist.means):
-        m1[i], m2[i] = thermal_moments(nb)
-    var_n = m2 - m1 ** 2
-    mean_sigma = base + np.sum(slope * m1)
+    nbar = dist.means
+    var_n = nbar * (nbar + 1.0)
+    mean_sigma = base + np.sum(slope * nbar)
     return float(math.sqrt(mean_sigma ** 2 + np.sum(slope ** 2 * var_n)))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import trapcoh
-from trapcoh import CoherenceSeries, DecayParams, TimeSeries, analytic_series
+from trapcoh import CoherenceSeries, DecayParams, analytic_series, cli, io
 
 
 def run_cli(*args, cwd, env_extra=None):
@@ -32,6 +32,10 @@ def run_cli(*args, cwd, env_extra=None):
     return subprocess.run(
         [sys.executable, "-m", "trapcoh", *map(str, args)],
         capture_output=True, text=True, cwd=cwd, env=env)
+
+
+def write_series(path, series):
+    io.write_csv(path, CoherenceSeries.COLUMNS, series.t_s, series.coherence, series.sigma)
 
 
 def stdout_doc(proc):
@@ -79,7 +83,7 @@ def test_simulate_temperature_mode(tmp_path):
     proc = run_cli("simulate", "--config", "cs133", "--spring-psd", "rin_40db",
                    "--temperature", "14e-6", "--n-traj", "2000", cwd=tmp_path)
     doc = stdout_doc(proc)
-    assert doc["params"]["pjr_per_s"] == pytest.approx(13.138938102264756, rel=1e-9)
+    assert doc["params"]["pjr_per_s"] == pytest.approx(13.138940951811716, rel=1e-9)
     assert "preset:cs133" in doc["meta"]["inputs"]
     assert "preset:rin_40db" in doc["meta"]["inputs"]
 
@@ -105,7 +109,7 @@ def test_fit_coherence_bundled_recovery(tmp_path):
 def test_fit_noiseless_rss_floor(tmp_path):
     series = analytic_series(DecayParams(15.0, 5.14), np.linspace(0.0, 0.16, 12))
     path = tmp_path / "clean.csv"
-    series.to_csv(path)
+    write_series(path, series)
     doc = stdout_doc(run_cli("fit", "--data", path, "--model", "coherence", cwd=tmp_path))
     assert doc["converged"] is True
     assert doc["rss"] < 1e-10
@@ -139,7 +143,7 @@ def test_fit_ramsey_cli(tmp_path):
     series = analytic_series(DecayParams(math.sqrt(2.0) / t2star, 0.0),
                              np.linspace(0.0, 2.0 * t2star, 14))
     path = tmp_path / "ramsey.csv"
-    series.to_csv(path)
+    write_series(path, series)
     doc = stdout_doc(run_cli("fit", "--data", path, "--model", "ramsey",
                              "--eta", "1.5291931912736172e-4", cwd=tmp_path))
     assert doc["params"]["temperature_k"] == pytest.approx(1.7650617687260866e-05, rel=1e-6)
@@ -163,7 +167,7 @@ def test_fit_degenerate_exit_3(tmp_path):
     t = np.linspace(0.0, 0.01, 8)
     series = CoherenceSeries(t, np.full(8, 0.99), np.zeros(8))
     path = tmp_path / "flat.csv"
-    series.to_csv(path)
+    write_series(path, series)
     proc = run_cli("fit", "--data", path, "--model", "coherence", cwd=tmp_path)
     assert proc.returncode == 3
     err = json.loads(proc.stderr.splitlines()[-1])
@@ -172,9 +176,9 @@ def test_fit_degenerate_exit_3(tmp_path):
 
 def test_psd_pipeline(tmp_path):
     rng = np.random.default_rng(2)
-    series = TimeSeries(1e4, 1.0 + 2e-3 * rng.standard_normal(2 ** 13))
     data = tmp_path / "power.csv"
-    series.to_csv(data)
+    io.write_csv(data, ("t_s", "power_w"), np.arange(2 ** 13) / 1e4,
+                 1.0 + 2e-3 * rng.standard_normal(2 ** 13))
     doc = stdout_doc(run_cli("psd", "--data", data, "--segment-length", "1024",
                              cwd=tmp_path))
     assert doc["n_samples"] == 2 ** 13
@@ -228,7 +232,7 @@ def test_estimate_rates_thermal(tmp_path):
                              "--temperature", "14e-6", cwd=tmp_path))
     thermal = doc["thermal"]
     assert thermal["classical_per_s"] == pytest.approx(6.5241780749600204, rel=1e-9)
-    assert thermal["exact_average_per_s"] == pytest.approx(13.138938102264756, rel=1e-9)
+    assert thermal["exact_average_per_s"] == pytest.approx(13.138940951811716, rel=1e-9)
     assert thermal["temperature_k"] == pytest.approx(14e-6)
     assert "S(omega) = S(f) / (2 pi)" in doc["psd_convention"]
 
@@ -271,3 +275,71 @@ def test_report_all_rows_pass(tmp_path):
     assert all(row["passed"] for row in report["rows"])
     markdown = (tmp_path / "report.md").read_text()
     assert markdown.count("\n") >= 20
+
+
+def test_estimate_rates_hot_atom(capsys):
+    # 20 mK puts 1.6e6 phonons on the cs133 z axis: the closed-form thermal
+    # moments have no level ceiling
+    code = cli.main(["estimate-rates", "--config", "cs133", "--spring-psd", "rin_40db",
+                     "--temperature", "0.02"])
+    assert code == 0
+    thermal = json.loads(capsys.readouterr().out)["thermal"]
+    for key in ("classical_per_s", "exact_average_per_s"):
+        assert math.isfinite(thermal[key]) and thermal[key] > 0.0
+
+
+def test_fit_ramsey_fits_decay_once(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "ramsey.csv"
+    write_series(path, analytic_series(DecayParams(200.0, 3.0), np.linspace(0.0, 0.01, 14)))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return trapcoh.fit_coherence_decay(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_coherence_decay", counting)
+    assert cli.main(["fit", "--data", str(path), "--model", "ramsey", "--eta", "1.53e-4",
+                     "--outdir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["model"] == "ramsey_decay"
+
+
+
+BAD_INPUTS = {
+    "simulate_sigma_nan": ["simulate", "--sigma-dls", "nan", "--n-traj", "100",
+                           "--points", "3"],
+    "simulate_pjr_inf": ["simulate", "--pjr", "inf", "--n-traj", "100", "--points", "3"],
+    "filter_f_min_zero": ["filter", "--cpmg", "2", "--interval", "0.1", "--f-min", "0",
+                          "--points", "5"],
+    "filter_no_points": ["filter", "--ramsey", "1.0", "--points", "0"],
+    "filter_missing_sequence": ["filter", "--sequence", "missing.json"],
+    "fit_nan_cell": ["fit", "--data", "nan_decay.csv", "--model", "coherence"],
+    "fit_fringe_nan_cell": ["fit", "--data", "nan_fringe.csv", "--model", "fringe"],
+    "fit_data_directory": ["fit", "--data", ".", "--model", "coherence"],
+    "estimate_rates_config_directory": ["estimate-rates", "--config", ".",
+                                        "--occupation", "0,0,0"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
+    """Contract: exit 2, nothing on stdout, one JSON error line on stderr."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TRAPCOH_OUTDIR", str(tmp_path))
+    # enough points to reach the optimizer, which fails on a NaN residual
+    t = np.linspace(0.0, 0.16, 8)
+    decay = np.exp(-0.5 * (15.0 * t) ** 2 - 5.14 * t)
+    decay[3] = math.nan
+    io.write_csv(tmp_path / "nan_decay.csv", CoherenceSeries.COLUMNS, t, decay, np.full(8, 0.01))
+    phases = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    population = 0.5 + 0.3 * np.cos(phases)
+    population[2] = math.nan
+    io.write_csv(tmp_path / "nan_fringe.csv", ("phase_rad", "population"), phases, population)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert set(error) == {"kind", "message"}

@@ -23,6 +23,7 @@ from trapcoh import (
     t2_time,
     temperature_from_ramsey_t2star,
 )
+from trapcoh import io
 
 ETA_1052 = 1.5291931912736172e-4
 
@@ -122,7 +123,8 @@ def test_decay_accepts_arrays_and_series_equally():
 
 def test_decay_bundled_dataset_recovery():
     path = resources.files("trapcoh.data") / "decay_noisy_synthetic.csv"
-    series = CoherenceSeries.from_csv(str(path))
+    cols = io.read_csv(str(path), CoherenceSeries.COLUMNS)
+    series = CoherenceSeries(*(cols[name] for name in CoherenceSeries.COLUMNS))
     result = fit_coherence_decay(series)
     assert result.converged
     for name, truth in (("sigma_dls_rad_s", 15.0), ("pjr_per_s", 5.14)):

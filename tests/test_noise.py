@@ -19,6 +19,7 @@ from trapcoh import (
     psd_to_dbc,
     relative_variance,
 )
+from trapcoh import io
 
 
 def test_psd_convention_factor():
@@ -102,8 +103,8 @@ def test_spectrum_json_round_trip(tmp_path):
     spec = NoiseSpectrum("position", np.array([5.4e3, 6.06e4]),
                          np.array([4.47e-11, 3.98e-11]))
     path = tmp_path / "spec.json"
-    spec.save(path)
-    again = NoiseSpectrum.load(path)
+    io.write_json(path, spec.to_json_obj())
+    again = NoiseSpectrum.from_json_obj(io.read_json(path))
     assert again.kind == "position"
     assert np.array_equal(again.frequencies_hz, spec.frequencies_hz)
     assert np.array_equal(again.psd, spec.psd)
@@ -113,12 +114,12 @@ def test_spectrum_json_round_trip(tmp_path):
 
 def test_spectrum_load_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
-        NoiseSpectrum.load(tmp_path / "missing.json")
+        io.read_json(tmp_path / "missing.json")
     assert err.value.kind == "config_not_found"
     bad = tmp_path / "bad.json"
     bad.write_text('{"kind": "spring_fractional"}')
     with pytest.raises(ConfigError) as err:
-        NoiseSpectrum.load(bad)
+        NoiseSpectrum.from_json_obj(io.read_json(bad))
     assert err.value.kind == "parse_error"
     with pytest.raises(ConfigError) as err:
         NoiseSpectrum.load_preset("does_not_exist")
@@ -149,20 +150,19 @@ def test_time_series_csv_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     series = TimeSeries(1000.0, 1.0 + 0.01 * rng.standard_normal(64))
     path = tmp_path / "ts.csv"
-    series.to_csv(path)
-    again = TimeSeries.from_csv(path)
+    io.write_csv(path, ("t_s", "power_w"), np.arange(64) / 1000.0, series.samples)
+    again = TimeSeries.parse(path.read_bytes(), path)
     assert again.sample_rate_hz == pytest.approx(series.sample_rate_hz, rel=1e-9)
     assert np.array_equal(again.samples, series.samples)
 
 
 def test_time_series_csv_errors(tmp_path):
+    ragged = b"t_s,power_w\n0.0,1.0\n0.5,1.0\n0.6,1.0\n"
     with pytest.raises(ConfigError) as err:
-        TimeSeries.from_csv(tmp_path / "gone.csv")
-    assert err.value.kind == "config_not_found"
-    ragged = tmp_path / "ragged.csv"
-    ragged.write_text("t_s,power_w\n0.0,1.0\n0.5,1.0\n0.6,1.0\n")
+        TimeSeries.parse(ragged, "ragged.csv")
+    assert err.value.kind == "parse_error"
     with pytest.raises(ConfigError) as err:
-        TimeSeries.from_csv(ragged)
+        TimeSeries.parse(b"t_s,power_w\n0.0,1.0\n0.1,one\n", "words.csv")
     assert err.value.kind == "parse_error"
 
 

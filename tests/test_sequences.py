@@ -22,6 +22,7 @@ from trapcoh import (
     simulate_fringe,
     spin_echo,
 )
+from trapcoh import io
 
 
 def phase_quadrature(seq, f_hz, dt):
@@ -77,15 +78,12 @@ def test_standard_sequences():
 def test_sequence_json_round_trip(tmp_path):
     seq = cpmg(3, 0.5)
     path = tmp_path / "seq.json"
-    seq.save(path)
-    assert PulseSequence.load(path) == seq
-    with pytest.raises(ConfigError) as err:
-        PulseSequence.load(tmp_path / "missing.json")
-    assert err.value.kind == "config_not_found"
+    io.write_json(path, seq.to_json_obj())
+    assert PulseSequence.from_json_obj(io.read_json(path)) == seq
     bad = tmp_path / "bad.json"
     bad.write_text('{"t_total_s": 1.0}')
     with pytest.raises(ConfigError) as err:
-        PulseSequence.load(bad)
+        PulseSequence.from_json_obj(io.read_json(bad))
     assert err.value.kind == "parse_error"
 
 
@@ -150,10 +148,10 @@ def test_filter_matches_phase_quadrature():
 def test_filter_curve_round_trip(tmp_path):
     curve = sample_filter(cpmg(2, 0.8), np.linspace(0.01, 3.0, 50))
     path = tmp_path / "filter.csv"
-    curve.to_csv(path)
-    again = FilterCurve.from_csv(path)
-    assert np.array_equal(again.f_hz, curve.f_hz)
-    assert np.array_equal(again.values, curve.values)
+    io.write_csv(path, FilterCurve.COLUMNS, curve.f_hz, curve.values)
+    cols = io.read_csv(path, FilterCurve.COLUMNS)
+    assert np.array_equal(cols["f_hz"], curve.f_hz)
+    assert np.array_equal(cols["filter"], curve.values)
     assert path.read_text().splitlines()[0] == "f_hz,filter"
 
 
@@ -161,7 +159,7 @@ def test_filter_curve_header_check(tmp_path):
     path = tmp_path / "wrong.csv"
     path.write_text("freq,val\n1.0,0.5\n")
     with pytest.raises(ConfigError) as err:
-        FilterCurve.from_csv(path)
+        io.read_csv(path, FilterCurve.COLUMNS)
     assert err.value.kind == "parse_error"
 
 
@@ -210,16 +208,13 @@ def test_fringe_sample_statistics():
     assert zero.sigma[0] == pytest.approx(math.sqrt(0.25 / 100 / 100), rel=1e-12)
 
 
-def test_simulate_fringe_deterministic(tmp_path):
+def test_simulate_fringe_deterministic():
     params = DecayParams(15.0, 5.14)
     seq = spin_echo(0.08)
     phases = np.linspace(0.0, 2.0 * math.pi, 13)
     a = simulate_fringe(params, seq, phases, 300, 9)
     b = simulate_fringe(params, seq, phases, 300, 9)
     assert np.array_equal(a.successes, b.successes)
-    path = tmp_path / "fringe.csv"
-    a.to_csv(path)
-    assert path.read_text().splitlines()[0] == "phase_rad,population,sigma"
 
 
 def test_simulate_fringe_tracks_contrast():

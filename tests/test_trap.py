@@ -15,7 +15,6 @@ from trapcoh import (
     FixedOccupation,
     ThermalOccupation,
     TrapConfig,
-    UnsupportedRegimeError,
     cesium_eta,
     cesium_species,
     dls_mean,
@@ -24,13 +23,20 @@ from trapcoh import (
     eta_from_detuning,
     mean_phonon_number,
     thermal_average_dls_sigma,
-    thermal_cutoff,
     thermal_moments,
     thermal_probability,
 )
+from trapcoh import io
 from trapcoh.constants import BOLTZMANN, HBAR
 
 TWO_PI = 2.0 * math.pi
+
+
+def brute_force_cutoff(nbar, tail_mass):
+    """Smallest N with P(n > N) = (nbar / (nbar + 1))**(N + 1) below tail_mass."""
+    if nbar == 0.0:
+        return 0
+    return max(math.ceil(math.log(tail_mass) / math.log(nbar / (nbar + 1.0))) - 1, 0)
 
 
 def toy_config(**overrides):
@@ -81,18 +87,18 @@ def test_config_validation():
 def test_config_round_trip(tmp_path):
     cfg = toy_config()
     path = tmp_path / "cfg.json"
-    cfg.save(path)
-    again = TrapConfig.load(path)
+    io.write_json(path, cfg.to_json_obj())
+    again = TrapConfig.from_json_obj(io.read_json(path))
     assert again == cfg
     # a second save is byte-identical
     path2 = tmp_path / "cfg2.json"
-    again.save(path2)
+    io.write_json(path2, again.to_json_obj())
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_config_json_field_names(tmp_path):
     path = tmp_path / "cfg.json"
-    toy_config().save(path)
+    io.write_json(path, toy_config().to_json_obj())
     obj = json.loads(path.read_text())
     assert set(obj) == {
         "mass_kg", "omega_hfs_rad_s", "gamma_rad_s", "eta", "u0_joule",
@@ -103,17 +109,17 @@ def test_config_json_field_names(tmp_path):
 
 def test_config_load_errors(tmp_path):
     with pytest.raises(ConfigError) as err:
-        TrapConfig.load(tmp_path / "missing.json")
+        io.read_json(tmp_path / "missing.json")
     assert err.value.kind == "config_not_found"
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError) as err:
-        TrapConfig.load(bad)
+        io.read_json(bad)
     assert err.value.kind == "parse_error"
     incomplete = tmp_path / "incomplete.json"
     incomplete.write_text(json.dumps({"eta": 1e-4}))
     with pytest.raises(ConfigError) as err:
-        TrapConfig.load(incomplete)
+        TrapConfig.from_json_obj(io.read_json(incomplete))
     assert err.value.kind == "parse_error"
 
 
@@ -197,37 +203,24 @@ def test_thermal_probability_values():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.0, 2e3))
 def test_thermal_probability_normalizes(nbar):
-    cut = thermal_cutoff(nbar)
+    cut = brute_force_cutoff(nbar, 1e-9)
     p = thermal_probability(nbar, np.arange(cut + 1))
     # the cutoff targets a 1e-9 tail; summation rounding can land a hair past
     assert abs(1.0 - np.sum(p)) < 5e-9
 
 
-def test_thermal_cutoff_tail_mass():
-    for nbar in (0.3, 4.3137, 53.52, 500.0):
-        cut = thermal_cutoff(nbar)
-        tail = (nbar / (nbar + 1.0)) ** (cut + 1)
-        assert tail < 1e-9
-        # one level lower is not enough
-        assert (nbar / (nbar + 1.0)) ** cut >= 1e-9
-    assert thermal_cutoff(0.0) == 0
-
-
-def test_thermal_cutoff_ceiling():
-    with pytest.raises(UnsupportedRegimeError):
-        thermal_cutoff(1e5)
-
-
 def test_thermal_moments_brute_force():
-    for nbar in (0.25, 1.0, 4.313740391510278, 53.520864393615334):
+    for nbar in (0.0, 0.25, 1.0, 4.313740391510278, 53.520864393615334):
         m1, m2 = thermal_moments(nbar)
-        n = np.arange(thermal_cutoff(nbar) + 1)
+        # the sum runs until the dropped tail is far below double precision
+        n = np.arange(brute_force_cutoff(nbar, 1e-30) + 1)
         p = thermal_probability(nbar, n)
         assert m1 == pytest.approx(np.sum(p * n), rel=1e-12)
         assert m2 == pytest.approx(np.sum(p * n * n), rel=1e-12)
-        # geometric distribution: E[n] ~ nbar, E[n^2] ~ 2 nbar^2 + nbar
-        assert m1 == pytest.approx(nbar, rel=1e-6)
-        assert m2 == pytest.approx(2 * nbar ** 2 + nbar, rel=1e-6)
+    # no level ceiling: the closed form holds far past any summable range
+    assert thermal_moments(1.6e6) == (1.6e6, 2.0 * 1.6e6 ** 2 + 1.6e6)
+    with pytest.raises(DomainError):
+        thermal_moments(-1.0)
 
 
 def test_eta_from_detuning():

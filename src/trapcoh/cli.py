@@ -25,8 +25,8 @@ from . import __version__, io, report
 from .coherence import (CoherenceSeries, DecayParams, analytic_series, coherence,
                         gaussian_channel_mc, t2_time)
 from .errors import ConfigError, DomainError, TrapcohError
-from .fitting import (_ramsey_from_decay, fit_coherence_decay, fit_exponential,
-                      fit_fringe)
+from .fitting import (_ramsey_from_decay, exponential, fit_coherence_decay,
+                      fit_exponential, fit_fringe, fringe)
 from .noise import NoiseSpectrum, TimeSeries, estimate_psd, relative_variance
 from .phonon import (TrapNoise, classical_thermal_rate, first_jump_survival_mc,
                      thermal_average_pjr, total_jump_rate)
@@ -54,9 +54,8 @@ def _load(cls, value, inputs):
 
 
 def _outdir(args) -> Path:
-    out = Path(args.outdir or os.environ.get("TRAPCOH_OUTDIR", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """Output directory; io creates it at the first file written."""
+    return Path(args.outdir or os.environ.get("TRAPCOH_OUTDIR", "."))
 
 
 def _meta(inputs, seed=None):
@@ -64,8 +63,7 @@ def _meta(inputs, seed=None):
 
 
 def _emit(doc) -> int:
-    json.dump(doc, sys.stdout, sort_keys=True, indent=1)
-    sys.stdout.write("\n")
+    sys.stdout.write(io.dumps(doc))
     return 0
 
 
@@ -83,6 +81,8 @@ def _trap_noise(args, inputs) -> TrapNoise:
 
 def cmd_simulate(args) -> int:
     inputs = {}
+    if args.points < 1:
+        raise DomainError("need at least one time point")
     out = _outdir(args)
     cfg = _load(TrapConfig, args.config, inputs)
     noise = _trap_noise(args, inputs)
@@ -155,13 +155,11 @@ def cmd_fit(args) -> int:
     elif args.model == "fringe":
         result = fit_fringe(cols["phase_rad"], cols["population"], cols.get("sigma"))
         x_name, x, y = "phase_rad", cols["phase_rad"], cols["population"]
-        modeled = (result.params["baseline"] + 0.5 * result.params["amplitude"]
-                   * np.cos(x - result.params["phase_rad"]))
+        modeled = fringe(x, **result.params)
     else:
         result = fit_exponential(cols["t_s"], cols["survival"], cols.get("sigma"))
         x_name, x, y = "t_s", cols["t_s"], cols["survival"]
-        modeled = (result.params["amplitude"]
-                   * np.exp(-x / result.params["lifetime_s"]))
+        modeled = exponential(x, **result.params)
 
     residuals_path = out / "residuals.csv"
     io.write_csv(residuals_path, (x_name, "observed", "model", "residual"),
@@ -217,8 +215,8 @@ def _build_sequence(args, inputs) -> PulseSequence:
 
 def cmd_filter(args) -> int:
     inputs = {}
-    if not 0.0 < args.f_min < args.f_max:
-        raise DomainError("frequency range must satisfy 0 < f_min < f_max")
+    if not 0.0 < args.f_min < args.f_max < np.inf:
+        raise DomainError("frequency range must satisfy 0 < f_min < f_max < inf")
     if args.points < 1:
         raise DomainError("need at least one frequency point")
     out = _outdir(args)
@@ -371,7 +369,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TrapcohError as exc:
+    except (TrapcohError, ArithmeticError) as exc:
+        # float overflow or division by zero: the result would be inf or NaN
+        if isinstance(exc, ArithmeticError):
+            exc = TrapcohError(f"{type(exc).__name__}: {exc}", kind="non_finite")
         json.dump({"error": {"kind": exc.kind, "message": str(exc)}},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")

@@ -17,7 +17,7 @@ class TrapcohError(Exception):
 
 
 class ConfigError(TrapcohError):
-    """Invalid or missing configuration input (CLI exit code 2)."""
+    """Invalid or missing configuration input, or an unwritable output (CLI exit code 2)."""
 
     kind = "config_error"
 

@@ -1,11 +1,11 @@
 """Least-squares parameter extraction for fringes and decay curves.
 
-All fitters run damped Gauss-Newton (Levenberg-Marquardt) with analytic
-Jacobians and report 1-sigma uncertainties from the Jacobian covariance
-at the optimum. They raise instead of returning partial results:
-FitConvergenceError when the optimizer hits its iteration cap without
-converging, UnidentifiableModelError when the data cannot constrain the
-model (flat fringe, saturated coherence series, non-decaying survival).
+The fringe is linear in (b, (A/2) cos phi0, (A/2) sin phi0) and is solved
+in one step; decay and lifetime fits run Levenberg-Marquardt with analytic
+Jacobians. All report 1-sigma uncertainties from the Jacobian covariance
+at the optimum and raise instead of returning partial results:
+FitConvergenceError when no start converges within the evaluation cap,
+UnidentifiableModelError when the data cannot constrain the model.
 
 With per-point uncertainties the residuals are whitened and the
 covariance is (J^T J)^-1 taken as absolute; with uniform weights it is
@@ -43,18 +43,17 @@ class FitResult:
 
     rss is the sum of squared residuals in the metric the optimizer
     minimized (whitened when per-point uncertainties were supplied).
-    covariance rows/columns follow param_order; it is kept for error
-    propagation and is not part of the JSON form.
+    covariance (rows and columns in params order) serves error propagation
+    and is not in the JSON form; n_iter counts solver evaluations (0 for fringes).
     """
 
     model: str
     params: dict
     uncertainties: dict
     rss: float
-    converged: bool
     n_iter: int
     covariance: np.ndarray | None = field(default=None, repr=False)
-    param_order: tuple = ()
+    converged = True  # a fit that does not converge raises instead
 
     def to_json_obj(self):
         return {
@@ -64,6 +63,16 @@ class FitResult:
             "rss": self.rss,
             "converged": self.converged,
         }
+
+
+def fringe(phase, amplitude, phase_rad, baseline):
+    """Fringe p(phi) = baseline + (amplitude/2) cos(phi - phase_rad)."""
+    return baseline + 0.5 * amplitude * np.cos(phase - phase_rad)
+
+
+def exponential(t_s, amplitude, lifetime_s):
+    """Survival p(t) = amplitude exp(-t / lifetime_s)."""
+    return amplitude * np.exp(-t_s / lifetime_s)
 
 
 def _covariance(jac, rss, n_points, n_params, absolute):
@@ -88,10 +97,27 @@ def _weights(n_points, sigma):
     return 1.0 / w, True
 
 
-def _solve(fun, jac, x0):
-    return least_squares(fun, np.asarray(x0, dtype=float), jac=jac, method="lm",
-                         xtol=1e-12, ftol=1e-12, gtol=1e-12,
-                         max_nfev=MAX_EVALUATIONS)
+def _levenberg_marquardt(fun, jac, starts, absolute, failure):
+    """(x, rss, covariance of x, evaluations) of the lowest-cost run
+    that converges from `starts`; FitConvergenceError(failure) if none."""
+    runs = [least_squares(fun, np.asarray(x0, dtype=float), jac=jac, method="lm",
+                          xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=MAX_EVALUATIONS)
+            for x0 in starts]
+    converged = [res for res in runs if res.success]
+    if not converged:
+        raise FitConvergenceError(failure)
+    best = min(converged, key=lambda res: res.cost)  # the first of equal costs
+    rss = float(2.0 * best.cost)
+    cov = _covariance(best.jac, rss, best.fun.size, best.x.size, absolute)
+    return best.x, rss, cov, int(best.nfev)
+
+
+def _result(model, params, cov, rss, n_iter):
+    """FitResult with 1-sigma uncertainties from the diagonal of `cov`,
+    whose rows follow the order of `params`."""
+    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    return FitResult(model, {name: float(value) for name, value in params.items()},
+                     dict(zip(params, err.tolist())), rss, n_iter, cov)
 
 
 def fit_fringe(phases_rad, population, sigma=None) -> FitResult:
@@ -112,41 +138,19 @@ def fit_fringe(phases_rad, population, sigma=None) -> FitResult:
 
     design = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
     coef, *_ = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)
-    b0, c1, c2 = coef
-    x0 = [2.0 * math.hypot(c1, c2), math.atan2(c2, c1), b0]
+    base, c1, c2 = coef
+    amp, phi0 = 2.0 * math.hypot(c1, c2), math.atan2(c2, c1)
 
-    def fun(x):
-        amp, phi0, base = x
-        return w * (base + 0.5 * amp * np.cos(phi - phi0) - y)
+    resid = w * (fringe(phi, amp, phi0, base) - y)
+    rss = float(np.dot(resid, resid))
+    jac = np.column_stack([w * 0.5 * np.cos(phi - phi0),
+                           w * 0.5 * amp * np.sin(phi - phi0), w])
+    cov = _covariance(jac, rss, phi.size, 3, absolute)
 
-    def jac(x):
-        amp, phi0, base = x
-        out = np.empty((phi.size, 3))
-        out[:, 0] = w * 0.5 * np.cos(phi - phi0)
-        out[:, 1] = w * 0.5 * amp * np.sin(phi - phi0)
-        out[:, 2] = w
-        return out
-
-    res = _solve(fun, jac, x0)
-    if not res.success:
-        raise FitConvergenceError("fringe fit did not converge")
-    rss = float(2.0 * res.cost)
-    cov = _covariance(res.jac, rss, phi.size, 3, absolute)
-    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
-
-    amp, phi0, base = res.x
-    if amp < 0.0:
-        amp, phi0 = -amp, phi0 + math.pi
     phi0 = (phi0 + math.pi) % (2.0 * math.pi) - math.pi
-    amp = min(amp, 1.0 + 3.0 * err[0])
-    return FitResult(
-        model="fringe",
-        params={"amplitude": float(amp), "phase_rad": float(phi0),
-                "baseline": float(base)},
-        uncertainties={"amplitude": float(err[0]), "phase_rad": float(err[1]),
-                       "baseline": float(err[2])},
-        rss=rss, converged=True, n_iter=int(res.nfev),
-        covariance=cov, param_order=("amplitude", "phase_rad", "baseline"))
+    amp = min(amp, 1.0 + 3.0 * math.sqrt(max(cov[0, 0], 0.0)))
+    return _result("fringe", {"amplitude": amp, "phase_rad": phi0, "baseline": base},
+                   cov, rss, 0)
 
 
 def _decay_starts(t, y):
@@ -225,26 +229,12 @@ def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
         out[:, 1] = w * model * (-2.0 * v * t)
         return out
 
-    best = None
-    for s0, r0 in _decay_starts(t, y):
-        res = _solve(fun, jac, [math.sqrt(s0), math.sqrt(r0)])
-        if res.success and (best is None or res.cost < best.cost):
-            best = res
-    if best is None:
-        raise FitConvergenceError("coherence fit did not converge from any start")
-
-    rss = float(2.0 * best.cost)
-    cov_uv = _covariance(best.jac, rss, t.size, 2, absolute)
-    u, v = best.x
+    starts = [(math.sqrt(s0), math.sqrt(r0)) for s0, r0 in _decay_starts(t, y)]
+    (u, v), rss, cov_uv, nfev = _levenberg_marquardt(
+        fun, jac, starts, absolute, "coherence fit did not converge from any start")
     scale = np.diag([2.0 * abs(u), 2.0 * abs(v)])
-    cov = scale @ cov_uv @ scale
-    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return FitResult(
-        model="coherence_decay",
-        params={"sigma_dls_rad_s": float(u * u), "pjr_per_s": float(v * v)},
-        uncertainties={"sigma_dls_rad_s": float(err[0]), "pjr_per_s": float(err[1])},
-        rss=rss, converged=True, n_iter=int(best.nfev),
-        covariance=cov, param_order=("sigma_dls_rad_s", "pjr_per_s"))
+    return _result("coherence_decay", {"sigma_dls_rad_s": u * u, "pjr_per_s": v * v},
+                   scale @ cov_uv @ scale, rss, nfev)
 
 
 def fit_exponential(t_s, survival, sigma=None) -> FitResult:
@@ -279,23 +269,13 @@ def fit_exponential(t_s, survival, sigma=None) -> FitResult:
         out[:, 1] = w * p0 * (-t) * damp
         return out
 
-    res = _solve(fun, jac, x0)
-    if not res.success:
-        raise FitConvergenceError("lifetime fit did not converge")
-    p0, k = res.x
+    (p0, k), rss, cov_pk, nfev = _levenberg_marquardt(
+        fun, jac, [x0], absolute, "lifetime fit did not converge")
     if k <= 0.0:
         raise UnidentifiableModelError("fitted survival rate is not positive")
-    rss = float(2.0 * res.cost)
-    cov_pk = _covariance(res.jac, rss, t.size, 2, absolute)
     scale = np.diag([1.0, -1.0 / (k * k)])
-    cov = scale @ cov_pk @ scale
-    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return FitResult(
-        model="exponential",
-        params={"amplitude": float(p0), "lifetime_s": float(1.0 / k)},
-        uncertainties={"amplitude": float(err[0]), "lifetime_s": float(err[1])},
-        rss=rss, converged=True, n_iter=int(res.nfev),
-        covariance=cov, param_order=("amplitude", "lifetime_s"))
+    return _result("exponential", {"amplitude": p0, "lifetime_s": 1.0 / k},
+                   scale @ cov_pk @ scale, rss, nfev)
 
 
 def fit_ramsey_decay(series, eta) -> FitResult:
@@ -321,4 +301,4 @@ def _ramsey_from_decay(inner: FitResult, eta) -> FitResult:
         params={"t2star_s": float(t2star), "temperature_k": float(temperature)},
         uncertainties={"t2star_s": float(t2_err),
                        "temperature_k": float(temperature * t2_err / t2star)},
-        rss=inner.rss, converged=inner.converged, n_iter=inner.n_iter)
+        rss=inner.rss, n_iter=inner.n_iter)

@@ -1,11 +1,12 @@
 """File I/O: the one module that opens, parses, hashes and writes files.
 
 JSON documents are written with sorted keys, a one-space indent and a
-trailing newline. CSV files have one header row of column names and
-floats in repr form, so a read back is bit-exact. Errors map to
-ConfigError here and nowhere else: an input path that cannot be read
-(missing, a directory, no permission) is ``config_not_found``, and
-content that does not parse is ``parse_error``.
+trailing newline, and never hold a NaN or inf (``non_finite``). CSV
+files have one header row of column names and floats in repr form, so a
+read back is bit-exact. Errors map to ConfigError here and nowhere else:
+an input path that cannot be read (missing, a directory, no permission)
+is ``config_not_found``, content that does not parse is ``parse_error``,
+and an output that cannot be written is ``output_error``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 from contextlib import contextmanager
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -101,12 +103,25 @@ def read_csv(path, required):
 
 
 def write_text(path, text):
-    with open(path, "w") as fh:
-        fh.write(text)
+    """Write `text` to the file `path`, creating its directory if missing."""
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}", kind="output_error") from exc
+
+
+def dumps(obj):
+    """JSON text of `obj`: sorted keys, a one-space indent, a trailing newline."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise TrapcohError(f"result holds a NaN or inf: {exc}", kind="non_finite") from exc
 
 
 def write_json(path, obj):
-    write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    write_text(path, dumps(obj))
 
 
 def write_csv(path, names, *columns):

@@ -162,8 +162,8 @@ class ThermalOccupation:
 
     def __post_init__(self):
         for ax in AXES:
-            if getattr(self, f"nbar_{ax}") < 0.0:
-                raise DomainError("mean phonon numbers must be nonnegative")
+            if not 0.0 <= getattr(self, f"nbar_{ax}") < math.inf:
+                raise DomainError("mean phonon numbers must be nonnegative and finite")
 
     @property
     def means(self) -> np.ndarray:
@@ -237,8 +237,8 @@ def dls_sigma(cfg: TrapConfig, occ: FixedOccupation) -> float:
 
 def mean_phonon_number(temperature_k, omega_rad_s) -> float:
     """Mean occupancy from temperature via (nbar + 1/2) hbar omega = kB T / 2."""
-    if temperature_k < 0.0:
-        raise DomainError("temperature must be nonnegative")
+    if not 0.0 <= temperature_k < math.inf:
+        raise DomainError("temperature must be nonnegative and finite")
     if not omega_rad_s > 0.0:
         raise DomainError("trap frequency must be positive")
     return max(0.0, constants.BOLTZMANN * temperature_k / (2.0 * constants.HBAR * omega_rad_s) - 0.5)

@@ -6,9 +6,13 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import trapcoh
 from trapcoh import CoherenceSeries, DecayParams, analytic_series, cli, io
@@ -318,7 +322,26 @@ BAD_INPUTS = {
     "fit_data_directory": ["fit", "--data", ".", "--model", "coherence"],
     "estimate_rates_config_directory": ["estimate-rates", "--config", ".",
                                         "--occupation", "0,0,0"],
+    "simulate_temperature_nan": ["simulate", "--temperature", "nan", "--n-traj", "100",
+                                 "--points", "3"],
+    "estimate_rates_temperature_inf": ["estimate-rates", "--spring-psd", "rin_40db",
+                                       "--temperature", "inf"],
+    "simulate_outdir_under_file": ["simulate", "--outdir", "afile/sub", "--n-traj", "100",
+                                   "--points", "3"],
+    "filter_outdir_is_file": ["filter", "--ramsey", "1", "--outdir", "afile"],
+    "filter_f_max_inf": ["filter", "--ramsey", "1", "--f-max", "inf", "--points", "3"],
 }
+
+
+def assert_error_only(out, err):
+    """Contract of a failed command: nothing on stdout, one JSON error line on stderr."""
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert set(error) == {"kind", "message"}
+    return error
 
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
@@ -326,6 +349,7 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     """Contract: exit 2, nothing on stdout, one JSON error line on stderr."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("TRAPCOH_OUTDIR", str(tmp_path))
+    (tmp_path / "afile").write_text("")  # a regular file where an output directory goes
     # enough points to reach the optimizer, which fails on a NaN residual
     t = np.linspace(0.0, 0.16, 8)
     decay = np.exp(-0.5 * (15.0 * t) ** 2 - 5.14 * t)
@@ -336,10 +360,81 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     population[2] = math.nan
     io.write_csv(tmp_path / "nan_fringe.csv", ("phase_rad", "population"), phases, population)
     assert cli.main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
+    assert_error_only(*capsys.readouterr())
+
+
+NON_FINITE = {
+    # omega_z ** 3 overflows, and the fixed-occupation rate is NaN
+    "estimate_rates_omega_1e120": ["estimate-rates", "--config", "huge_omega.json",
+                                   "--occupation", "0,0,0"],
+    # the classical thermal rate squares k T / 2 past the float range
+    "estimate_rates_temperature_1e300": ["estimate-rates", "--spring-psd", "rin_40db",
+                                         "--temperature", "1e300"],
+}
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # the overflow itself
+@pytest.mark.parametrize("argv", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_result_exit_3(argv, tmp_path, monkeypatch, capsys):
+    """A result with a NaN or inf is never printed: exit 3 with a non_finite error."""
+    monkeypatch.chdir(tmp_path)
+    config = io.read_preset("cs133")
+    config["omega_z_rad_s"] = 1e120
+    io.write_json(tmp_path / "huge_omega.json", config)
+    assert cli.main(argv) == 3
+    assert assert_error_only(*capsys.readouterr())["kind"] == "non_finite"
+
+
+#: numeric flag values: finite, zero, negative, huge, NaN and +-inf
+NUMBERS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
+    [0.0, -0.0, -1.0, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf])).map(repr)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for simulate, filter or estimate-rates with drawn numeric flags.
+    Values go in --flag=value form, so argparse reads "-inf" as a value."""
+    def maybe(flag, values=NUMBERS):
+        return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
+
+    command = draw(st.sampled_from(["simulate", "filter", "estimate-rates"]))
+    if command == "simulate":
+        return ["simulate", f"--n-traj={draw(st.integers(-1, 200))}",
+                f"--points={draw(st.integers(-1, 5))}", *maybe("--t-max"),
+                *maybe("--temperature"), *maybe("--sigma-dls"), *maybe("--pjr"),
+                *maybe("--spring-psd", st.just("rin_40db"))]
+    if command == "filter":
+        sequence = draw(st.sampled_from(["--ramsey", "--echo", "--cpmg"]))
+        if sequence == "--cpmg":
+            chosen = [f"--cpmg={draw(st.integers(-1, 8))}", f"--interval={draw(NUMBERS)}"]
+        else:
+            chosen = [f"{sequence}={draw(NUMBERS)}"]
+        return ["filter", *chosen, *maybe("--f-min"), *maybe("--f-max"),
+                f"--points={draw(st.integers(-1, 5))}",
+                *maybe("--dls-psd", st.just("rin_40db"))]
+    occupation = st.lists(st.integers(-1, 10 ** 6), min_size=3, max_size=3)
+    return ["estimate-rates", *maybe("--config", st.sampled_from(["cs133", "bbt780"])),
+            *maybe("--spring-psd", st.just("rin_40db")), *maybe("--temperature"),
+            *maybe("--occupation", occupation.map(lambda ns: ",".join(map(str, ns))))]
+
+
+@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # from extreme inputs
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_argv())
+def test_cli_contract_property(tmp_path, argv):
+    """README contract for any numeric flags: exit 0, 2 or 3; a failure prints
+    only a JSON error; a success prints no NaN or Infinity."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([*argv, f"--outdir={tmp_path}"] if argv[0] != "estimate-rates"
+                        else argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
-    lines = err.splitlines()
-    assert len(lines) == 1
-    error = json.loads(lines[0])["error"]
-    assert set(error) == {"kind", "message"}
+    if code == 0:
+        json.loads(out)
+        assert "NaN" not in out and "Infinity" not in out, argv
+    else:
+        assert out == ""
+        assert set(json.loads(err.splitlines()[-1])["error"]) == {"kind", "message"}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from trapcoh import (
     CoherenceSeries,
@@ -23,7 +24,7 @@ from trapcoh import (
     t2_time,
     temperature_from_ramsey_t2star,
 )
-from trapcoh import io
+from trapcoh import fitting, io
 
 ETA_1052 = 1.5291931912736172e-4
 
@@ -82,6 +83,55 @@ def test_fringe_validation():
         fit_fringe(phases, np.full(8, 0.5), sigma=np.full(8, 0.0))
     with pytest.raises(DomainError):
         fit_fringe(phases, np.full(7, 0.5))
+
+
+def test_fringe_fit_calls_no_solver(monkeypatch):
+    # the fringe is linear in (b, (A/2) cos phi0, (A/2) sin phi0): one linear solve
+    def no_solver(*args, **kwargs):
+        raise AssertionError("fit_fringe ran the nonlinear solver")
+
+    monkeypatch.setattr(fitting, "least_squares", no_solver)
+    phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    result = fit_fringe(phases, 0.5 + 0.5 * 0.32 * np.cos(phases - 0.7))
+    assert result.n_iter == 0
+    assert result.params["amplitude"] == pytest.approx(0.32, rel=1e-9)
+    assert result.params["phase_rad"] == pytest.approx(0.7, rel=1e-9)
+
+
+def lm_fringe(phi, y, sigma):
+    """Reference: LM from the linear solve, as fit_fringe ran before its closed form."""
+    w = np.ones_like(phi) if sigma is None else 1.0 / sigma
+    design = np.column_stack([np.ones_like(phi), np.cos(phi), np.sin(phi)])
+    (b0, c1, c2), *_ = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)
+
+    def fun(x):
+        return w * (x[2] + 0.5 * x[0] * np.cos(phi - x[1]) - y)
+
+    def jac(x):
+        return np.column_stack([w * 0.5 * np.cos(phi - x[1]),
+                                w * 0.5 * x[0] * np.sin(phi - x[1]), w])
+
+    x0 = [2.0 * math.hypot(c1, c2), math.atan2(c2, c1), b0]
+    res = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-12, ftol=1e-12, gtol=1e-12)
+    return res.x, 2.0 * res.cost
+
+
+@pytest.mark.parametrize("kind", ["unweighted", "weighted", "zero_contrast"])
+def test_fringe_closed_form_is_the_lm_optimum(kind):
+    rng = np.random.default_rng(["unweighted", "weighted", "zero_contrast"].index(kind))
+    for _ in range(30):
+        phi = np.sort(rng.uniform(0.0, 2.0 * math.pi, int(rng.integers(6, 40))))
+        phi[-1] = phi[0] + 4.0  # more than half a period
+        amp = 0.0 if kind == "zero_contrast" else rng.uniform(0.1, 1.0)
+        y = 0.5 + 0.5 * amp * np.cos(phi - rng.uniform(-3.0, 3.0)) \
+            + rng.normal(0.0, 0.03, phi.size)
+        sigma = rng.uniform(0.01, 0.05, phi.size) if kind == "weighted" else None
+        result = fit_fringe(phi, y, sigma)
+        (amp_lm, phase_lm, base_lm), rss_lm = lm_fringe(phi, y, sigma)
+        assert result.rss == pytest.approx(rss_lm, rel=1e-12)
+        assert result.params["baseline"] == pytest.approx(base_lm, rel=1e-12)
+        assert result.params["amplitude"] == pytest.approx(amp_lm, rel=1e-12)
+        assert math.cos(result.params["phase_rad"] - phase_lm) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fit_result_json_contract():

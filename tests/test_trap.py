@@ -154,6 +154,9 @@ def test_fixed_occupation_validation():
 def test_thermal_occupation_validation():
     with pytest.raises(DomainError):
         ThermalOccupation(-0.1, 0.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ThermalOccupation(0.0, bad, 0.0)
 
 
 def test_mean_phonon_clamp_boundary():
@@ -165,6 +168,9 @@ def test_mean_phonon_clamp_boundary():
         mean_phonon_number(-1e-6, omega)
     with pytest.raises(DomainError):
         mean_phonon_number(1e-6, 0.0)
+    for bad in (math.nan, math.inf):  # NaN once passed as the ground state
+        with pytest.raises(DomainError):
+            mean_phonon_number(bad, omega)
 
 
 def test_mean_phonon_values():

@@ -7,7 +7,9 @@ configuration or parse error, 3 numerical failure. Outputs embed the
 seed, the tool version, and SHA-256 digests of every input file read.
 Values from a config file are defaults; command-line flags override
 them. The default output directory is taken from the TRAPCOH_OUTDIR
-environment variable when set.
+environment variable when set. Each command computes first; main
+writes its files only once every text is built, so a command that
+fails before its first write leaves no file.
 """
 
 from __future__ import annotations
@@ -53,18 +55,12 @@ def _load(cls, value, inputs):
     return cls.from_json_obj(io.parse_json(*_read(value, inputs)))
 
 
-def _outdir(args) -> Path:
-    """Output directory; io creates it at the first file written."""
-    return Path(args.outdir or os.environ.get("TRAPCOH_OUTDIR", "."))
-
-
 def _meta(inputs, seed=None):
     return {"seed": seed, "version": __version__, "inputs": inputs}
 
 
-def _emit(doc) -> int:
-    sys.stdout.write(io.dumps(doc))
-    return 0
+def _series_csv(series):
+    return io.csv_text(CoherenceSeries.COLUMNS, series.t_s, series.coherence, series.sigma)
 
 
 def _parse_occupation(text) -> FixedOccupation:
@@ -79,11 +75,13 @@ def _trap_noise(args, inputs) -> TrapNoise:
     return TrapNoise.uniform(spring=spring, position=position)
 
 
-def cmd_simulate(args) -> int:
+# Each cmd_* only computes: it returns its document and its output files,
+# label -> (file name, text); main writes them.
+
+def cmd_simulate(args):
     inputs = {}
     if args.points < 1:
         raise DomainError("need at least one time point")
-    out = _outdir(args)
     cfg = _load(TrapConfig, args.config, inputs)
     noise = _trap_noise(args, inputs)
 
@@ -104,39 +102,29 @@ def cmd_simulate(args) -> int:
 
     grid = np.linspace(0.0, args.t_max, args.points)
     analytic = analytic_series(params, grid)
-    analytic_path = out / "analytic.csv"
-    io.write_csv(analytic_path, CoherenceSeries.COLUMNS,
-                 analytic.t_s, analytic.coherence, analytic.sigma)
-
     mc_gauss = gaussian_channel_mc(sigma, args.n_traj, args.seed, grid)
     surv = first_jump_survival_mc(pjr, args.n_traj, args.seed + 1, grid)
     surv_err = np.sqrt(surv * (1.0 - surv) / args.n_traj)
     combined = mc_gauss.coherence * surv
     combined_err = np.sqrt((mc_gauss.sigma * surv) ** 2
                            + (mc_gauss.coherence * surv_err) ** 2)
-    mc_series = CoherenceSeries(grid, combined, combined_err)
-    mc_path = out / "montecarlo.csv"
-    io.write_csv(mc_path, CoherenceSeries.COLUMNS,
-                 mc_series.t_s, mc_series.coherence, mc_series.sigma)
-
-    params_path = out / "params.json"
-    io.write_json(params_path, params.to_json_obj())
-
     doc = {
         "command": "simulate",
         "params": params.to_json_obj(),
         "t2_s": t2_time(params) if (sigma, pjr) != (0.0, 0.0) else None,
         "n_traj": args.n_traj,
-        "files": {"analytic": str(analytic_path), "montecarlo": str(mc_path),
-                  "params": str(params_path)},
         "meta": _meta(inputs, args.seed),
     }
-    return _emit(doc)
+    return doc, {
+        "analytic": ("analytic.csv", _series_csv(analytic)),
+        "montecarlo": ("montecarlo.csv",
+                       _series_csv(CoherenceSeries(grid, combined, combined_err))),
+        "params": ("params.json", io.dumps(params.to_json_obj())),
+    }
 
 
-def cmd_fit(args) -> int:
+def cmd_fit(args):
     inputs = {}
-    out = _outdir(args)
     cols = io.parse_csv(*_read(args.data, inputs), FIT_COLUMNS[args.model])
 
     if args.model in ("coherence", "ramsey"):
@@ -160,39 +148,32 @@ def cmd_fit(args) -> int:
         result = fit_exponential(cols["t_s"], cols["survival"], cols.get("sigma"))
         x_name, x, y = "t_s", cols["t_s"], cols["survival"]
         modeled = exponential(x, **result.params)
-
-    residuals_path = out / "residuals.csv"
-    io.write_csv(residuals_path, (x_name, "observed", "model", "residual"),
-                 x, y, modeled, y - modeled)
-    log.info("fit rss=%g, wrote %s", result.rss, residuals_path)
+    log.info("fit rss=%g", result.rss)
 
     doc = result.to_json_obj()
     doc["meta"] = _meta(inputs)
-    doc["files"] = {"residuals": str(residuals_path)}
-    return _emit(doc)
+    return doc, {"residuals": ("residuals.csv", io.csv_text(
+        (x_name, "observed", "model", "residual"), x, y, modeled, y - modeled))}
 
 
-def cmd_psd(args) -> int:
+def cmd_psd(args):
     inputs = {}
-    out = _outdir(args)
     series = TimeSeries.parse(*_read(args.data, inputs))
     spectrum = estimate_psd(series, args.segment_length, args.overlap, kind=args.kind)
-    csv_path = out / "psd.csv"
-    json_path = out / "psd.json"
-    io.write_csv(csv_path, NoiseSpectrum.COLUMNS, spectrum.frequencies_hz, spectrum.psd)
-    io.write_json(json_path, spectrum.to_json_obj())
-    integral = float(np.trapezoid(spectrum.psd, spectrum.frequencies_hz))
     doc = {
         "command": "psd",
         "kind": spectrum.kind,
         "relative_variance": relative_variance(series),
-        "psd_integral": integral,
+        "psd_integral": float(np.trapezoid(spectrum.psd, spectrum.frequencies_hz)),
         "n_samples": len(series.samples),
         "sample_rate_hz": series.sample_rate_hz,
-        "files": {"psd_csv": str(csv_path), "psd_json": str(json_path)},
         "meta": _meta(inputs),
     }
-    return _emit(doc)
+    return doc, {
+        "psd_csv": ("psd.csv", io.csv_text(NoiseSpectrum.COLUMNS, spectrum.frequencies_hz,
+                                           spectrum.psd)),
+        "psd_json": ("psd.json", io.dumps(spectrum.to_json_obj())),
+    }
 
 
 def _build_sequence(args, inputs) -> PulseSequence:
@@ -213,18 +194,15 @@ def _build_sequence(args, inputs) -> PulseSequence:
     return _load(PulseSequence, args.sequence, inputs)
 
 
-def cmd_filter(args) -> int:
+def cmd_filter(args):
     inputs = {}
     if not 0.0 < args.f_min < args.f_max < np.inf:
         raise DomainError("frequency range must satisfy 0 < f_min < f_max < inf")
     if args.points < 1:
         raise DomainError("need at least one frequency point")
-    out = _outdir(args)
     seq = _build_sequence(args, inputs)
     freqs = np.logspace(np.log10(args.f_min), np.log10(args.f_max), args.points)
     curve = sample_filter(seq, freqs)
-    csv_path = out / "filter.csv"
-    io.write_csv(csv_path, FilterCurve.COLUMNS, curve.f_hz, curve.values)
     sigma_eff = None
     if args.dls_psd is not None:
         psd = _load(NoiseSpectrum, args.dls_psd, inputs)
@@ -234,13 +212,13 @@ def cmd_filter(args) -> int:
         "t_total_s": seq.t_total_s,
         "n_pulses": seq.n_pulses,
         "sigma_eff_rad_s": sigma_eff,
-        "files": {"filter": str(csv_path)},
         "meta": _meta(inputs),
     }
-    return _emit(doc)
+    return doc, {"filter": ("filter.csv",
+                            io.csv_text(FilterCurve.COLUMNS, curve.f_hz, curve.values))}
 
 
-def cmd_estimate_rates(args) -> int:
+def cmd_estimate_rates(args):
     inputs = {}
     cfg = _load(TrapConfig, args.config, inputs)
     noise = _trap_noise(args, inputs)
@@ -270,24 +248,15 @@ def cmd_estimate_rates(args) -> int:
             "classical_per_s": classical_thermal_rate(cfg, noise, args.temperature),
             "exact_average_per_s": thermal_average_pjr(cfg, noise, dist),
         }
-    return _emit(doc)
+    return doc, {}
 
 
-def cmd_report(args) -> int:
-    out = _outdir(args)
+def cmd_report(args):
     rows = report.build_report(mc_seed=args.seed)
     doc = report.to_json_obj(rows)
     doc["meta"] = _meta({}, args.seed)
-    md_path = out / "report.md"
-    io.write_text(md_path, report.to_markdown(rows))
-    json_path = out / "report.json"
-    io.write_json(json_path, doc)
-    doc["files"] = {"markdown": str(md_path), "json": str(json_path)}
-    _emit(doc)
-    if not report.all_passed(rows):
-        log.error("report has failing rows")
-        return 3
-    return 0
+    return doc, {"markdown": ("report.md", report.to_markdown(rows)),
+                 "json": ("report.json", io.dumps(doc))}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,10 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # numpy raises FloatingPointError, an ArithmeticError: non_finite below
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            doc, files = args.func(args)
+        if files:
+            out = Path(args.outdir or os.environ.get("TRAPCOH_OUTDIR", "."))
+            doc["files"] = {label: str(out / name) for label, (name, _) in files.items()}
+        text = io.dumps(doc)
+        for name, content in files.values():
+            io.write_text(out / name, content)
     except (TrapcohError, ArithmeticError) as exc:
         # float overflow or division by zero: the result would be inf or NaN
         if isinstance(exc, ArithmeticError):
@@ -378,6 +354,12 @@ def main(argv=None) -> int:
         sys.stderr.write("\n")
         # bad input is exit 2; a numerical failure (fit, report) is exit 3
         return 2 if isinstance(exc, (ConfigError, DomainError)) else 3
+    sys.stdout.write(text)
+    if doc.get("all_passed", True):
+        return 0
+    # a report with failing rows still writes its files and prints its document
+    log.error("report has failing rows")
+    return 3
 
 
 if __name__ == "__main__":

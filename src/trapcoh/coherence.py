@@ -62,19 +62,20 @@ def t2_time(params: DecayParams) -> float:
 
     Uses t2 = 2 / (R + sqrt(R**2 + 2 sigma**2)), the root with the
     numerator rationalized: the textbook (-R + sqrt(...)) / sigma**2
-    cancels when sigma << R.
+    cancels when sigma << R. The square root is a hypot, so sigma**2
+    cannot underflow to zero.
     """
     s, r = params.sigma_dls, params.pjr
     if s == 0.0 and r == 0.0:
         raise DomainError("no decay channel, 1/e time undefined")
-    return 2.0 / (r + math.sqrt(r * r + 2.0 * s * s))
+    return 2.0 / (r + math.hypot(r, math.sqrt(2.0) * s))
 
 
 def t2_gradient(params: DecayParams):
     """(d t2 / d sigma, d t2 / d R) of the closed form, for error propagation."""
     s, r = params.sigma_dls, params.pjr
     t2 = t2_time(params)
-    d = math.sqrt(r * r + 2.0 * s * s)
+    d = math.hypot(r, math.sqrt(2.0) * s)
     # t2 = 2 / (R + d), so d t2 / d (R + d) = -t2**2 / 2
     return -t2 * t2 * s / d, -0.5 * t2 * t2 * (1.0 + r / d)
 

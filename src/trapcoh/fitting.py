@@ -28,7 +28,7 @@ from scipy.optimize import least_squares
 
 from .coherence import (CoherenceSeries, DecayParams, t2_gradient, t2_time,
                         temperature_from_ramsey_t2star)
-from .errors import DomainError, FitConvergenceError, UnidentifiableModelError
+from .errors import DomainError, FitConvergenceError, TrapcohError, UnidentifiableModelError
 
 MAX_EVALUATIONS = 2000
 
@@ -99,10 +99,15 @@ def _weights(n_points, sigma):
 
 def _levenberg_marquardt(fun, jac, starts, absolute, failure):
     """(x, rss, covariance of x, evaluations) of the lowest-cost run
-    that converges from `starts`; FitConvergenceError(failure) if none."""
-    runs = [least_squares(fun, np.asarray(x0, dtype=float), jac=jac, method="lm",
-                          xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=MAX_EVALUATIONS)
-            for x0 in starts]
+    that converges from `starts`; FitConvergenceError(failure) if none.
+    A trial step that overflows gives inf residuals, which LM rejects;
+    starts with non-finite residuals are skipped."""
+    with np.errstate(over="ignore", invalid="ignore"):  # also under the CLI's "raise"
+        starts = [x0 for x0 in map(np.asarray, starts) if np.all(np.isfinite(fun(x0)))]
+        if not starts:
+            raise TrapcohError("fit residuals are not finite at any start", kind="non_finite")
+        runs = [least_squares(fun, x0, jac=jac, method="lm", xtol=1e-12, ftol=1e-12,
+                              gtol=1e-12, max_nfev=MAX_EVALUATIONS) for x0 in starts]
     converged = [res for res in runs if res.success]
     if not converged:
         raise FitConvergenceError(failure)

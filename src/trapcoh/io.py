@@ -1,9 +1,9 @@
 """File I/O: the one module that opens, parses, hashes and writes files.
 
 JSON documents are written with sorted keys, a one-space indent and a
-trailing newline, and never hold a NaN or inf (``non_finite``). CSV
-files have one header row of column names and floats in repr form, so a
-read back is bit-exact. Errors map to ConfigError here and nowhere else:
+trailing newline. CSV files have one header row of column names and
+floats in repr form, so a read back is bit-exact. Neither ever holds a
+NaN or inf (``non_finite``). Errors map to ConfigError here and nowhere else:
 an input path that cannot be read (missing, a directory, no permission)
 is ``config_not_found``, content that does not parse is ``parse_error``,
 and an output that cannot be written is ``output_error``.
@@ -124,7 +124,14 @@ def write_json(path, obj):
     write_text(path, dumps(obj))
 
 
-def write_csv(path, names, *columns):
-    """Header row `names`, then one row per index of the equal-length columns."""
+def csv_text(names, *columns):
+    """Header row `names`, then one row per index of the equal-length
+    columns; a NaN or inf cell is ``non_finite``, as in dumps."""
+    if not all(np.all(np.isfinite(col)) for col in columns):
+        raise TrapcohError("CSV column holds a NaN or inf", kind="non_finite")
     rows = [",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns)]
-    write_text(path, ",".join(names) + "\n" + "".join(rows))
+    return ",".join(names) + "\n" + "".join(rows)
+
+
+def write_csv(path, names, *columns):
+    write_text(path, csv_text(names, *columns))

@@ -164,12 +164,13 @@ class TimeSeries:
         """Two-column record (t_s, power_w), CSV or whitespace separated, from
         the bytes `data` read from `source`."""
         with io.parsing(source):
-            lines = data.decode().splitlines()
+            lines = [line for line in data.decode().splitlines() if line.strip()]
             first = lines[0] if lines else ""
             skip = 1 if any(c.isalpha() for c in first) else 0
             delim = "," if "," in first else None
-            table = np.loadtxt(lines, delimiter=delim, skiprows=skip)
-            if table.ndim != 2 or table.shape[1] < 2 or table.shape[0] < 2:
+            # loadtxt warns on a table with no rows
+            table = np.loadtxt(lines, delimiter=delim, skiprows=skip) if lines[skip:] else None
+            if table is None or table.ndim != 2 or table.shape[1] < 2 or table.shape[0] < 2:
                 raise ValueError("needs two columns (t_s, value) and two rows")
             t, x = table[:, 0], table[:, 1]
             dt = np.diff(t)

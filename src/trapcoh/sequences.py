@@ -40,8 +40,8 @@ class PulseSequence:
     pi_pulses_s: tuple
 
     def __post_init__(self):
-        if not self.t_total_s > 0.0:
-            raise DomainError("total time must be positive")
+        if not 0.0 < self.t_total_s < np.inf:
+            raise DomainError("total time must be positive and finite")
         pulses = tuple(float(t) for t in self.pi_pulses_s)
         if any(not 0.0 < t < self.t_total_s for t in pulses):
             raise DomainError("pi pulses must lie strictly inside (0, t_total)")

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import trapcoh
 from trapcoh import CoherenceSeries, DecayParams, analytic_series, cli, io
+from trapcoh import report as report_mod
 
 
 def run_cli(*args, cwd, env_extra=None):
@@ -40,6 +42,12 @@ def run_cli(*args, cwd, env_extra=None):
 
 def write_series(path, series):
     io.write_csv(path, CoherenceSeries.COLUMNS, series.t_s, series.coherence, series.sigma)
+
+
+def write_cells(path, names, *columns):
+    """CSV with repr cells, NaN and inf included, which io.write_csv refuses."""
+    rows = "".join(",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns))
+    path.write_text(",".join(names) + "\n" + rows)
 
 
 def stdout_doc(proc):
@@ -140,6 +148,23 @@ def test_fit_exponential_cli(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     doc = stdout_doc(run_cli("fit", "--data", path, "--model", "exponential", cwd=tmp_path))
     assert doc["params"]["lifetime_s"] == pytest.approx(105.5, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_exponential_survives_overflowing_step(tmp_path, capsys):
+    # LM trial steps on this survival table overflow exp(-k t); the solver
+    # rejects them and converges, also under the CLI's numpy errstate
+    t = [0.11643992862612376, 0.2429780808487379, 0.25, 0.3333333333333333,
+         0.33791782316654856, 0.35372562476207575, 0.6769750667606899, 1.0]
+    survival = [0.19922224717996212, 5.37e-55, 1.66e-27, 0.4286475198410261,
+                0.5680356234110445, 0.37009060785414866, 1.66e-27, 0.0]
+    path = tmp_path / "surv.csv"
+    io.write_csv(path, ("t_s", "survival"), np.array(t), np.array(survival))
+    assert cli.main(["fit", "--data", str(path), "--model", "exponential",
+                     "--outdir", str(tmp_path)]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["amplitude"] == pytest.approx(0.3009371366449653, rel=1e-9)
+    assert params["lifetime_s"] == pytest.approx(0.9212074485486251, rel=1e-9)
 
 
 def test_fit_ramsey_cli(tmp_path):
@@ -281,6 +306,19 @@ def test_report_all_rows_pass(tmp_path):
     assert markdown.count("\n") >= 20
 
 
+def test_report_failing_rows_exit_3_with_files(tmp_path, monkeypatch, capsys, caplog):
+    row = report_mod.ReportRow("check", "1", "2", "equal", False)
+    monkeypatch.setattr(report_mod, "build_report", lambda mc_seed: [row])
+    assert cli.main(["report", "--outdir", str(tmp_path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["all_passed"] is False
+    assert doc["files"] == {"markdown": str(tmp_path / "report.md"),
+                            "json": str(tmp_path / "report.json")}
+    assert json.loads((tmp_path / "report.json").read_text())["rows"] == [row.to_json_obj()]
+    assert "SOME CHECKS FAILED" in (tmp_path / "report.md").read_text()
+    assert "report has failing rows" in caplog.text
+
+
 def test_estimate_rates_hot_atom(capsys):
     # 20 mK puts 1.6e6 phonons on the cs133 z axis: the closed-form thermal
     # moments have no level ceiling
@@ -330,6 +368,7 @@ BAD_INPUTS = {
                                    "--points", "3"],
     "filter_outdir_is_file": ["filter", "--ramsey", "1", "--outdir", "afile"],
     "filter_f_max_inf": ["filter", "--ramsey", "1", "--f-max", "inf", "--points", "3"],
+    "filter_ramsey_inf": ["filter", "--ramsey", "inf", "--points", "3"],
 }
 
 
@@ -346,7 +385,8 @@ def assert_error_only(out, err):
 
 @pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
 def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
-    """Contract: exit 2, nothing on stdout, one JSON error line on stderr."""
+    """Contract: exit 2, nothing on stdout, one JSON error line on stderr,
+    and no file written."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("TRAPCOH_OUTDIR", str(tmp_path))
     (tmp_path / "afile").write_text("")  # a regular file where an output directory goes
@@ -354,13 +394,15 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     t = np.linspace(0.0, 0.16, 8)
     decay = np.exp(-0.5 * (15.0 * t) ** 2 - 5.14 * t)
     decay[3] = math.nan
-    io.write_csv(tmp_path / "nan_decay.csv", CoherenceSeries.COLUMNS, t, decay, np.full(8, 0.01))
+    write_cells(tmp_path / "nan_decay.csv", CoherenceSeries.COLUMNS, t, decay, np.full(8, 0.01))
     phases = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
     population = 0.5 + 0.3 * np.cos(phases)
     population[2] = math.nan
-    io.write_csv(tmp_path / "nan_fringe.csv", ("phase_rad", "population"), phases, population)
+    write_cells(tmp_path / "nan_fringe.csv", ("phase_rad", "population"), phases, population)
+    inputs = sorted(os.listdir(tmp_path))
     assert cli.main(argv) == 2
     assert_error_only(*capsys.readouterr())
+    assert sorted(os.listdir(tmp_path)) == inputs
 
 
 NON_FINITE = {
@@ -370,39 +412,62 @@ NON_FINITE = {
     # the classical thermal rate squares k T / 2 past the float range
     "estimate_rates_temperature_1e300": ["estimate-rates", "--spring-psd", "rin_40db",
                                          "--temperature", "1e300"],
+    # the filter of a 1e300 s echo overflows
+    "filter_echo_1e300": ["filter", "--echo", "1e300", "--dls-psd", "rin_40db"],
 }
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # the overflow itself
+@pytest.mark.filterwarnings("error")  # numpy raises, it never warns
 @pytest.mark.parametrize("argv", NON_FINITE.values(), ids=NON_FINITE.keys())
 def test_non_finite_result_exit_3(argv, tmp_path, monkeypatch, capsys):
-    """A result with a NaN or inf is never printed: exit 3 with a non_finite error."""
+    """A result with a NaN or inf is never printed or written: exit 3 with a
+    non_finite error."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TRAPCOH_OUTDIR", str(tmp_path))
     config = io.read_preset("cs133")
     config["omega_z_rad_s"] = 1e120
     io.write_json(tmp_path / "huge_omega.json", config)
     assert cli.main(argv) == 3
     assert assert_error_only(*capsys.readouterr())["kind"] == "non_finite"
+    assert os.listdir(tmp_path) == ["huge_omega.json"]
+
+
+def test_simulate_underflowing_sigma(tmp_path, capsys):
+    # sigma**2 underflows to zero, yet the 1/e time sqrt(2) / sigma is finite
+    assert cli.main(["simulate", "--sigma-dls", "1e-300", "--pjr", "0", "--n-traj", "100",
+                     "--points", "5", "--outdir", str(tmp_path)]) == 0
+    t2 = json.loads(capsys.readouterr().out)["t2_s"]
+    assert math.isfinite(t2) and t2 == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
 
 
 #: numeric flag values: finite, zero, negative, huge, NaN and +-inf
 NUMBERS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from(
     [0.0, -0.0, -1.0, 1e-300, 1e300, -1e300, math.nan, math.inf, -math.inf])).map(repr)
+#: CSV cells that stand in for one finite cell of a column: zero, huge and NaN
+SPECIAL_CELLS = st.sampled_from([0.0, 1e300, math.nan])
 
 
 @st.composite
 def cli_argv(draw):
-    """argv for simulate, filter or estimate-rates with drawn numeric flags.
-    Values go in --flag=value form, so argparse reads "-inf" as a value."""
+    """(argv, CSV table or None) for any subcommand but report, with drawn
+    numeric flags and CSV cells. Flags go in --flag=value form, so argparse
+    reads "-inf" as a value; the test writes the table and adds --data."""
     def maybe(flag, values=NUMBERS):
         return [f"{flag}={draw(values)}"] if draw(st.booleans()) else []
 
-    command = draw(st.sampled_from(["simulate", "filter", "estimate-rates"]))
+    def column(n, low=0.0, high=1.0, unique=False):
+        """n finite cells in [low, high], one of them perhaps a special cell."""
+        cells = draw(st.lists(st.floats(low, high), min_size=n, max_size=n, unique=unique))
+        if cells and draw(st.booleans()):
+            cells[draw(st.integers(0, n - 1))] = draw(SPECIAL_CELLS)
+        return cells
+
+    command = draw(st.sampled_from(["simulate", "filter", "estimate-rates", "fit", "psd"]))
     if command == "simulate":
         return ["simulate", f"--n-traj={draw(st.integers(-1, 200))}",
                 f"--points={draw(st.integers(-1, 5))}", *maybe("--t-max"),
                 *maybe("--temperature"), *maybe("--sigma-dls"), *maybe("--pjr"),
-                *maybe("--spring-psd", st.just("rin_40db"))]
+                *maybe("--spring-psd", st.just("rin_40db"))], None
     if command == "filter":
         sequence = draw(st.sampled_from(["--ramsey", "--echo", "--cpmg"]))
         if sequence == "--cpmg":
@@ -411,24 +476,48 @@ def cli_argv(draw):
             chosen = [f"{sequence}={draw(NUMBERS)}"]
         return ["filter", *chosen, *maybe("--f-min"), *maybe("--f-max"),
                 f"--points={draw(st.integers(-1, 5))}",
-                *maybe("--dls-psd", st.just("rin_40db"))]
+                *maybe("--dls-psd", st.just("rin_40db"))], None
+    if command == "fit":
+        model = draw(st.sampled_from(sorted(cli.FIT_COLUMNS)))
+        names = cli.FIT_COLUMNS[model]
+        if "sigma" not in names and draw(st.booleans()):
+            names += ("sigma",)
+        n = draw(st.integers(0, 12))
+        x = sorted(column(n, high=7.0 if model == "fringe" else 1.0, unique=True))
+        columns = [x, *(column(n) for _ in names[1:])]
+        extra = (maybe("--eta") or maybe("--config", st.just("cs133"))
+                 if model == "ramsey" else [])
+        return ["fit", f"--model={model}", *extra], (names, *columns)
+    if command == "psd":
+        n = draw(st.integers(0, 40))
+        power = column(n, 0.5, 1.5)
+        return ["psd", f"--segment-length={draw(st.integers(-1, 40))}",
+                *maybe("--overlap")], (("t_s", "power_w"), np.arange(n) / 1e3, power)
     occupation = st.lists(st.integers(-1, 10 ** 6), min_size=3, max_size=3)
     return ["estimate-rates", *maybe("--config", st.sampled_from(["cs133", "bbt780"])),
             *maybe("--spring-psd", st.just("rin_40db")), *maybe("--temperature"),
-            *maybe("--occupation", occupation.map(lambda ns: ",".join(map(str, ns))))]
+            *maybe("--occupation", occupation.map(lambda ns: ",".join(map(str, ns))))], None
 
 
-@pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")  # from extreme inputs
+@pytest.mark.filterwarnings("error")  # any warning on a CLI path fails the test
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cli_argv())
-def test_cli_contract_property(tmp_path, argv):
-    """README contract for any numeric flags: exit 0, 2 or 3; a failure prints
-    only a JSON error; a success prints no NaN or Infinity."""
+def test_cli_contract_property(tmp_path, case):
+    """README contract for any numeric flags and CSV cells: exit 0, 2 or 3; a
+    failure prints only a JSON error and writes no file; a success prints no
+    NaN or Infinity."""
+    argv, table = case
+    if table is not None:
+        write_cells(tmp_path / "data.csv", *table)
+        argv = [*argv, f"--data={tmp_path / 'data.csv'}"]
+    out_dir = tmp_path / "out"
+    shutil.rmtree(out_dir, ignore_errors=True)
+    if argv[0] != "estimate-rates":
+        argv = [*argv, f"--outdir={out_dir}"]
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main([*argv, f"--outdir={tmp_path}"] if argv[0] != "estimate-rates"
-                        else argv)
+        code = cli.main(argv)
     out, err = out.getvalue(), err.getvalue()
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
@@ -438,3 +527,4 @@ def test_cli_contract_property(tmp_path, argv):
     else:
         assert out == ""
         assert set(json.loads(err.splitlines()[-1])["error"]) == {"kind", "message"}
+        assert not out_dir.exists(), argv

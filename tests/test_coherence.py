@@ -78,6 +78,12 @@ def test_t2_single_channel_limits():
         t2_time(DecayParams(0.0, 0.0))
 
 
+def test_t2_survives_sigma_squared_underflow():
+    # sigma**2 = 1e-600 underflows to zero; the hypot form never squares sigma
+    assert t2_time(DecayParams(1e-300, 0.0)) == pytest.approx(math.sqrt(2.0) * 1e300,
+                                                               rel=1e-15)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(1e-3, 1e3), st.floats(0.0, 1e3))
 def test_t2_is_one_over_e_time(sigma, rate):

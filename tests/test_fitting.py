@@ -13,6 +13,7 @@ from trapcoh import (
     CoherenceSeries,
     DecayParams,
     DomainError,
+    TrapcohError,
     UnidentifiableModelError,
     analytic_series,
     coherence,
@@ -260,6 +261,26 @@ def test_exponential_rejects_growth():
         fit_exponential(t, np.exp(+t / 20.0))
     with pytest.raises(DomainError):
         fit_exponential(t[:2], np.ones(2))
+
+
+def test_lm_skips_non_finite_starts():
+    t = np.array([0.0, 1.0, 2.0])
+    y = np.exp(-0.5 * t)
+
+    def fun(x):
+        return np.exp(-x[0] * t) - y
+
+    def jac(x):
+        return (-t * np.exp(-x[0] * t))[:, None]
+
+    with np.errstate(all="raise"):
+        x, rss, _, _ = fitting._levenberg_marquardt(fun, jac, [(-1000.0,), (0.1,)],
+                                                    False, "no fit")
+        assert x[0] == pytest.approx(0.5, rel=1e-9)
+        assert rss < 1e-20
+        with pytest.raises(TrapcohError) as err:
+            fitting._levenberg_marquardt(fun, jac, [(-1000.0,)], False, "no fit")
+    assert err.value.kind == "non_finite"
 
 
 def test_ramsey_decay_thermometry():

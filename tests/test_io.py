@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from trapcoh import ConfigError, DomainError, io
+from trapcoh import ConfigError, DomainError, TrapcohError, io
 
 
 def test_resolve_records_path_and_preset(tmp_path):
@@ -66,3 +66,15 @@ def test_write_formats_round_trip(tmp_path):
     assert path.read_text().splitlines() == ["x,y"] + rows
     cols = io.read_csv(path, ("y",))
     assert np.array_equal(cols["x"], x) and np.array_equal(cols["y"], y)
+
+
+def test_csv_refuses_non_finite_cells(tmp_path):
+    # what io writes, parse_csv reads back: no NaN or inf cell, as in dumps
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(TrapcohError) as err:
+            io.write_csv(tmp_path / "bad.csv", ("x", "y"), [0.0, 1.0], [2.0, bad])
+        assert err.value.kind == "non_finite"
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(TrapcohError) as err:
+        io.dumps({"x": np.nan})
+    assert err.value.kind == "non_finite"

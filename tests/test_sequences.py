@@ -45,6 +45,9 @@ def phase_quadrature(seq, f_hz, dt):
 def test_sequence_validation():
     with pytest.raises(DomainError):
         PulseSequence(0.0, ())
+    for t_total in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            PulseSequence(t_total, ())
     with pytest.raises(DomainError):
         PulseSequence(1.0, (0.0,))
     with pytest.raises(DomainError):

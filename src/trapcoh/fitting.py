@@ -21,16 +21,27 @@ small nonzero corner values instead of zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .coherence import (CoherenceSeries, DecayParams, t2_gradient, t2_time,
                         temperature_from_ramsey_t2star)
 from .errors import DomainError, FitConvergenceError, TrapcohError, UnidentifiableModelError
 
 MAX_EVALUATIONS = 2000
+
+
+def __getattr__(name):
+    """Import `least_squares` on first use (PEP 562), so that only the LM
+    fits pay for its import; the name stays patchable."""
+    if name != "least_squares":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import least_squares
+    globals()["least_squares"] = least_squares
+    return least_squares
+
 
 #: residual floor below which a coherence series counts as saturated
 _DEGENERATE_HIGH = 0.9
@@ -106,8 +117,9 @@ def _levenberg_marquardt(fun, jac, starts, absolute, failure):
         starts = [x0 for x0 in map(np.asarray, starts) if np.all(np.isfinite(fun(x0)))]
         if not starts:
             raise TrapcohError("fit residuals are not finite at any start", kind="non_finite")
-        runs = [least_squares(fun, x0, jac=jac, method="lm", xtol=1e-12, ftol=1e-12,
-                              gtol=1e-12, max_nfev=MAX_EVALUATIONS) for x0 in starts]
+        solve = sys.modules[__name__].least_squares  # via __getattr__ until first use
+        runs = [solve(fun, x0, jac=jac, method="lm", xtol=1e-12, ftol=1e-12,
+                      gtol=1e-12, max_nfev=MAX_EVALUATIONS) for x0 in starts]
     converged = [res for res in runs if res.success]
     if not converged:
         raise FitConvergenceError(failure)

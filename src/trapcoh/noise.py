@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 from . import io
 from .errors import DomainError
@@ -194,6 +193,14 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
     The series is divided by its mean and offset to zero, so the result is
     the PSD of fractional fluctuations; its integral over f approximates
     relative_variance**2 (Parseval). The DC bin is dropped.
+
+    Welch's estimator (IEEE Trans. Audio Electroacoust. 15, 70 (1967)):
+    segments of `segment_length` samples overlapping by
+    round(overlap * segment_length), each with its mean removed and a
+    periodic Hann window w applied, averaged |rfft|^2 scaled to a one-sided
+    density by 2 / (fs sum w^2) (Heinzel, Ruediger & Schilling, "Spectrum
+    and spectral density estimation by the DFT", 2002); the Nyquist bin of
+    an even segment is not doubled.
     """
     n = series.samples.size
     segment_length = int(segment_length)
@@ -201,17 +208,20 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
         raise DomainError(f"segment length must be in [8, {n}]")
     if not 0.0 <= overlap < 1.0:
         raise DomainError("overlap fraction must be in [0, 1)")
+    step = segment_length - round(overlap * segment_length)
+    if step < 1:
+        raise DomainError(
+            f"overlap {overlap} of {segment_length} samples rounds to the whole segment")
     mean = series.samples.mean()
     if mean <= 0.0:
         raise DomainError("PSD of fractional fluctuations needs a positive mean")
-    frac = series.samples / mean - 1.0
-    f, pxx = signal.welch(
-        frac,
-        fs=series.sample_rate_hz,
-        window="hann",
-        nperseg=segment_length,
-        noverlap=int(round(overlap * segment_length)),
-        detrend="constant",
-        scaling="density",
-    )
+    fs = series.sample_rate_hz
+    segments = np.lib.stride_tricks.sliding_window_view(
+        series.samples / mean - 1.0, segment_length)[::step]
+    window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(segment_length) / segment_length)
+    spectra = np.fft.rfft((segments - segments.mean(axis=1, keepdims=True)) * window, axis=1)
+    pxx = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=0) * (2.0 / (fs * window @ window))
+    if segment_length % 2 == 0:
+        pxx[-1] /= 2.0
+    f = np.fft.rfftfreq(segment_length, 1.0 / fs)
     return NoiseSpectrum(kind, f[1:], pxx[1:])

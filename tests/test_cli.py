@@ -369,6 +369,9 @@ BAD_INPUTS = {
     "filter_outdir_is_file": ["filter", "--ramsey", "1", "--outdir", "afile"],
     "filter_f_max_inf": ["filter", "--ramsey", "1", "--f-max", "inf", "--points", "3"],
     "filter_ramsey_inf": ["filter", "--ramsey", "inf", "--points", "3"],
+    # round(0.95 * 8) = 8 samples of overlap would leave no step between segments
+    "psd_overlap_whole_segment": ["psd", "--data", "trace.csv", "--segment-length", "8",
+                                  "--overlap", "0.95"],
 }
 
 
@@ -399,6 +402,8 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     population = 0.5 + 0.3 * np.cos(phases)
     population[2] = math.nan
     write_cells(tmp_path / "nan_fringe.csv", ("phase_rad", "population"), phases, population)
+    write_cells(tmp_path / "trace.csv", ("t_s", "power_w"), np.arange(16) / 1e3,
+                1.0 + 0.01 * np.cos(np.arange(16)))
     inputs = sorted(os.listdir(tmp_path))
     assert cli.main(argv) == 2
     assert_error_only(*capsys.readouterr())

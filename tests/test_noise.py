@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal
 
 from trapcoh import (
     ConfigError,
@@ -221,10 +222,35 @@ def test_estimate_psd_validation():
         estimate_psd(series, segment_length=512)
     with pytest.raises(DomainError):
         estimate_psd(series, segment_length=64, overlap=1.0)
+    with pytest.raises(DomainError):  # round(0.95 * 8) = 8: no step between segments
+        estimate_psd(series, segment_length=8, overlap=0.95)
     negative_mean = TimeSeries(
         100.0, np.random.default_rng(0).standard_normal(256) - 10.0)
     with pytest.raises(DomainError):
         estimate_psd(negative_mean, segment_length=64)
+
+
+def test_estimate_psd_matches_scipy_welch():
+    """Oracle: scipy.signal.welch with the options estimate_psd documents
+    (periodic Hann, constant detrend, density scaling, one sided)."""
+    rng = np.random.default_rng(2024)
+    cases = [(64, 64, 0.5, 1.0), (63, 63, 0.0, 1e6), (200, 33, 0.0, 10.0),
+             (200, 32, 0.9, 1e3), (500, 40, 0.97, 3.7), (501, 41, 0.975, 2.5e5)]
+    for _ in range(60):
+        n = int(rng.integers(8, 3000))
+        length = int(rng.integers(8, n + 1))
+        overlap = float(rng.choice([0.0, rng.uniform(0.0, 0.99), 0.99]))
+        if round(overlap * length) < length:
+            cases.append((n, length, overlap, float(10.0 ** rng.uniform(0.0, 6.0))))
+    assert {length % 2 for _, length, _, _ in cases} == {0, 1}
+    for n, length, overlap, fs in cases:
+        samples = 1.0 + 0.01 * rng.standard_normal(n) + 0.02 * np.sin(0.3 * np.arange(n))
+        psd = estimate_psd(TimeSeries(fs, samples), length, overlap)
+        f, pxx = signal.welch(samples / samples.mean() - 1.0, fs=fs, window="hann",
+                              nperseg=length, noverlap=round(overlap * length),
+                              detrend="constant", scaling="density")
+        assert psd.frequencies_hz == pytest.approx(f[1:], rel=1e-15)
+        assert np.max(np.abs(psd.psd - pxx[1:])) <= 1e-12 * pxx[1:].max()
 
 
 def test_estimate_psd_kind_label():

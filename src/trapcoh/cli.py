@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     psd = sub.add_parser("psd", help="Welch PSD of a power time series")
-    psd.add_argument("--data", required=True, help="time series CSV (t_s,power_w)")
+    psd.add_argument("--data", required=True, help="comma-separated CSV whose header "
+                     "row names t_s and power_w, in any order; other columns are ignored")
     psd.add_argument("--segment-length", type=int, default=4096)
     psd.add_argument("--overlap", type=float, default=0.5)
     psd.add_argument("--kind", default="spring_fractional",

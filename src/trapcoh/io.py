@@ -76,21 +76,19 @@ def parse_json(data, source):
 
 
 def parse_csv(data, source, required):
-    """Columns of a CSV by header name, as float arrays; every column in
-    `required` must be present and every cell finite."""
+    """Columns of a comma-separated CSV by header name, as float arrays; each
+    name once, those in `required` present, each row one finite cell per name."""
     with parsing(source):
         lines = [line for line in data.decode().splitlines() if line.strip()]
         header = [name.strip() for name in lines[0].split(",")] if lines else []
-        missing = [name for name in required if name not in header]
-        if missing:
-            raise ValueError(f"missing columns {missing}, header {header}")
-        rows = [line.split(",") for line in lines[1:]]
-        cols = {name: np.array([float(row[header.index(name)]) for row in rows])
-                for name in header}
-        bad = [name for name, col in cols.items() if not np.all(np.isfinite(col))]
-        if bad:
-            raise ValueError(f"non-finite values in columns {bad}")
-    return cols
+        if not set(required) <= set(header) or len(set(header)) < len(header):
+            raise ValueError(f"header {header} must name {list(required)}, no name twice")
+        # loadtxt warns on a table with no rows
+        table = (np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2) if lines[1:]
+                 else np.empty((0, len(header))))
+        if table.shape[1] != len(header) or not np.all(np.isfinite(table)):
+            raise ValueError(f"each row needs one finite cell per name in header {header}")
+    return dict(zip(header, table.T))
 
 
 def read_json(path):

@@ -22,6 +22,9 @@ SPRING_FRACTIONAL = "spring_fractional"
 #: trap-center position noise, units m^2/Hz
 POSITION = "position"
 
+#: segments that estimate_psd transforms at once; bounds its memory at any overlap
+WELCH_BLOCK = 256
+
 
 def psd_f_to_omega(value):
     """One-sided PSD per Hz -> per (rad/s): S(omega) = S(f) / (2 pi).
@@ -146,12 +149,14 @@ class TimeSeries:
     sample_rate_hz: float
     samples: np.ndarray
 
+    COLUMNS = ("t_s", "power_w")
+
     def __post_init__(self):
         x = np.asarray(self.samples, dtype=float)
-        if x.ndim != 1 or x.size < 2:
-            raise DomainError("time series needs at least two samples")
-        if not self.sample_rate_hz > 0.0:
-            raise DomainError("sample rate must be positive")
+        if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
+            raise DomainError("time series needs at least two samples, all finite")
+        if not 0.0 < self.sample_rate_hz < np.inf:
+            raise DomainError("sample rate must be positive and finite")
         object.__setattr__(self, "samples", x)
 
     @property
@@ -160,22 +165,14 @@ class TimeSeries:
 
     @classmethod
     def parse(cls, data, source):
-        """Two-column record (t_s, power_w), CSV or whitespace separated, from
-        the bytes `data` read from `source`."""
+        """Record from the CSV bytes `data` read from `source` (io.parse_csv): the
+        COLUMNS by header name, others ignored; two or more rows at uniform times."""
+        cols = io.parse_csv(data, source, cls.COLUMNS)
         with io.parsing(source):
-            lines = [line for line in data.decode().splitlines() if line.strip()]
-            first = lines[0] if lines else ""
-            skip = 1 if any(c.isalpha() for c in first) else 0
-            delim = "," if "," in first else None
-            # loadtxt warns on a table with no rows
-            table = np.loadtxt(lines, delimiter=delim, skiprows=skip) if lines[skip:] else None
-            if table is None or table.ndim != 2 or table.shape[1] < 2 or table.shape[0] < 2:
-                raise ValueError("needs two columns (t_s, value) and two rows")
-            t, x = table[:, 0], table[:, 1]
-            dt = np.diff(t)
-            if np.any(dt <= 0.0) or (dt.max() - dt.min()) > 1e-6 * dt.mean():
-                raise ValueError("time column must be uniform and increasing")
-        return cls(1.0 / dt.mean(), x)
+            dt = np.diff(cols["t_s"])
+            if dt.size < 1 or np.any(dt <= 0.0) or (dt.max() - dt.min()) > 1e-6 * dt.mean():
+                raise ValueError("needs two rows, with times uniform and increasing")
+        return cls(1.0 / dt.mean(), cols["power_w"])
 
 
 def relative_variance(series: TimeSeries) -> float:
@@ -219,8 +216,11 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
     segments = np.lib.stride_tricks.sliding_window_view(
         series.samples / mean - 1.0, segment_length)[::step]
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(segment_length) / segment_length)
-    spectra = np.fft.rfft((segments - segments.mean(axis=1, keepdims=True)) * window, axis=1)
-    pxx = (spectra.real ** 2 + spectra.imag ** 2).mean(axis=0) * (2.0 / (fs * window @ window))
+    power = np.zeros(segment_length // 2 + 1)
+    for seg in np.split(segments, range(WELCH_BLOCK, len(segments), WELCH_BLOCK)):
+        spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
+        power += (spectra.real ** 2 + spectra.imag ** 2).sum(axis=0)
+    pxx = power / len(segments) * (2.0 / (fs * window @ window))
     if segment_length % 2 == 0:
         pxx[-1] /= 2.0
     f = np.fft.rfftfreq(segment_length, 1.0 / fs)

@@ -372,7 +372,13 @@ BAD_INPUTS = {
     # round(0.95 * 8) = 8 samples of overlap would leave no step between segments
     "psd_overlap_whole_segment": ["psd", "--data", "trace.csv", "--segment-length", "8",
                                   "--overlap", "0.95"],
+    "psd_inf_cell": ["psd", "--data", "inf_trace.csv", "--segment-length", "8"],
+    "psd_nan_cell": ["psd", "--data", "nan_trace.csv", "--segment-length", "8"],
+    "psd_no_header": ["psd", "--data", "headerless_trace.csv", "--segment-length", "8"],
 }
+#: bad inputs whose content the one CSV reader refuses
+PARSE_ERRORS = {"fit_nan_cell", "fit_fringe_nan_cell", "psd_inf_cell", "psd_nan_cell",
+                "psd_no_header"}
 
 
 def assert_error_only(out, err):
@@ -386,10 +392,10 @@ def assert_error_only(out, err):
     return error
 
 
-@pytest.mark.parametrize("argv", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
-def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("name,argv", BAD_INPUTS.items(), ids=BAD_INPUTS.keys())
+def test_bad_input_exit_2(name, argv, tmp_path, monkeypatch, capsys):
     """Contract: exit 2, nothing on stdout, one JSON error line on stderr,
-    and no file written."""
+    and no file written; a CSV the reader refuses is a parse_error."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("TRAPCOH_OUTDIR", str(tmp_path))
     (tmp_path / "afile").write_text("")  # a regular file where an output directory goes
@@ -402,12 +408,19 @@ def test_bad_input_exit_2(argv, tmp_path, monkeypatch, capsys):
     population = 0.5 + 0.3 * np.cos(phases)
     population[2] = math.nan
     write_cells(tmp_path / "nan_fringe.csv", ("phase_rad", "population"), phases, population)
-    write_cells(tmp_path / "trace.csv", ("t_s", "power_w"), np.arange(16) / 1e3,
-                1.0 + 0.01 * np.cos(np.arange(16)))
+    power = 1.0 + 0.01 * np.cos(np.arange(16))
+    write_cells(tmp_path / "trace.csv", ("t_s", "power_w"), np.arange(16) / 1e3, power)
+    for bad in ("inf", "nan"):
+        write_cells(tmp_path / f"{bad}_trace.csv", ("t_s", "power_w"), np.arange(16) / 1e3,
+                    np.where(np.arange(16) == 5, float(bad), power))
+    rows = (tmp_path / "trace.csv").read_text().splitlines()[1:]
+    (tmp_path / "headerless_trace.csv").write_text("\n".join(rows) + "\n")
     inputs = sorted(os.listdir(tmp_path))
     assert cli.main(argv) == 2
-    assert_error_only(*capsys.readouterr())
+    error = assert_error_only(*capsys.readouterr())
     assert sorted(os.listdir(tmp_path)) == inputs
+    if name in PARSE_ERRORS:
+        assert error["kind"] == "parse_error"
 
 
 NON_FINITE = {

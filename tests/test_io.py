@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -40,10 +41,24 @@ def test_bad_content_is_parse_error(tmp_path):
         with pytest.raises(ConfigError) as err:
             io.parse_json(data, "x.json")
         assert err.value.kind == "parse_error"
-    for data in (b"", b"t_s\n0.0\n", b"t_s,y\n0.0\n", b"t_s,y\n0.0,inf\n"):
+    for data in (b"", b"t_s\n0.0\n", b"t_s,y\n0.0\n", b"t_s,y\n0.0,inf\n",
+                 b"t_s,y\n0.0,1.0,2.0\n", b"t_s,y,t_s\n0.0,1.0,2.0\n"):
         with pytest.raises(ConfigError) as err:
             io.parse_csv(data, "x.csv", ("t_s", "y"))
         assert err.value.kind == "parse_error"
+
+
+def test_csv_layout_that_parses():
+    # blank and whitespace-only lines, CRLF line ends and spaces around cells
+    data = b"\r\n t_s , y\r\n\r\n0.5, 1.0 \r\n \t\r\n 1.5 ,-2e-3\r\n\n"
+    cols = io.parse_csv(data, "x.csv", ("y", "t_s"))
+    assert list(cols) == ["t_s", "y"]
+    assert cols["t_s"].tolist() == [0.5, 1.5] and cols["y"].tolist() == [1.0, -2e-3]
+    # a header with no rows gives empty columns, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cols = io.parse_csv(b"t_s,y\n\n", "x.csv", ("t_s",))
+    assert {name: col.shape for name, col in cols.items()} == {"t_s": (0,), "y": (0,)}
 
 
 def test_parsing_passes_package_errors_through():

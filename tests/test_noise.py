@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from trapcoh import (
     DomainError,
     NoiseSpectrum,
     TimeSeries,
+    TrapNoise,
     dbc_to_psd,
     estimate_psd,
     psd_f_to_omega,
@@ -26,6 +28,24 @@ from trapcoh import io
 def test_psd_convention_factor():
     assert psd_f_to_omega(1.0) == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
     assert psd_f_to_omega(0.0) == 0.0
+
+
+def test_psd_f_to_omega_keeps_band_power():
+    """Savard, O'Hara & Thomas, PRA 56, R1095 (1997) use a one-sided S(omega)
+    with the integral of S(omega) d omega over all omega equal to <eps^2>.
+    Since omega = 2 pi f, d omega = 2 pi df, so the same power in a band
+    [f1, f2] needs S(omega) = S(f) / (2 pi): the integral of S(f) df over
+    [f1, f2] equals the integral of S(omega) d omega over [2 pi f1, 2 pi f2].
+    Checked for a flat band-limited S(f) through the rate formulas' accessor."""
+    level, f1, f2 = 3e-13, 2e3, 7e4
+    spectrum = NoiseSpectrum.flat(level, f1, f2)
+    noise = TrapNoise.uniform(spring=spectrum)
+    f = np.linspace(f1, f2, 257)
+    omega = 2.0 * math.pi * f
+    per_hz = np.trapezoid(spectrum.evaluate(f), f)
+    per_rad = np.trapezoid(noise.spring_omega("x", omega), omega)
+    assert per_hz == pytest.approx(level * (f2 - f1), rel=1e-12)
+    assert per_rad == pytest.approx(per_hz, rel=1e-12)
 
 
 def test_dbc_table_values():
@@ -143,6 +163,12 @@ def test_time_series_validation():
         TimeSeries(0.0, np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
         TimeSeries(10.0, np.array([1.0]))
+    for rate in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            TimeSeries(rate, np.array([1.0, 2.0]))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            TimeSeries(10.0, np.array([1.0, bad, 3.0]))
     series = TimeSeries(10.0, np.array([1.0, 2.0, 3.0, 4.0]))
     assert series.duration_s == pytest.approx(0.4)
 
@@ -251,6 +277,18 @@ def test_estimate_psd_matches_scipy_welch():
                               detrend="constant", scaling="density")
         assert psd.frequencies_hz == pytest.approx(f[1:], rel=1e-15)
         assert np.max(np.abs(psd.psd - pxx[1:])) <= 1e-12 * pxx[1:].max()
+
+
+def test_estimate_psd_memory_bounded_at_high_overlap():
+    # 99% overlap makes about 4900 segments of 2048 samples: 80 MB as one array
+    series = TimeSeries(1e4, 1.0 + 0.01 * np.random.default_rng(5).standard_normal(100_000))
+    tracemalloc.start()
+    try:
+        estimate_psd(series, segment_length=2048, overlap=0.99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_estimate_psd_kind_label():

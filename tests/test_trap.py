@@ -27,7 +27,8 @@ from trapcoh import (
     thermal_probability,
 )
 from trapcoh import io
-from trapcoh.constants import BOLTZMANN, HBAR
+from trapcoh.constants import (BOLTZMANN, CS_D1_WAVELENGTH, CS_D2_WAVELENGTH,
+                               CS_HYPERFINE_SPLITTING, HBAR, SPEED_OF_LIGHT)
 
 TWO_PI = 2.0 * math.pi
 
@@ -259,6 +260,23 @@ def test_cesium_eta_values():
     assert cesium_eta(780e-9) == pytest.approx(2.5009109883279435e-4, rel=1e-12)
     with pytest.raises(DomainError):
         cesium_eta(0.0)
+
+
+def test_cesium_eta_derivation():
+    """Kuhr et al., PRA 72, 023406 (2005): the two hyperfine ground states
+    see the trap light with detunings that differ by omega_hfs, so their
+    differential light shift is eta times the trap depth with
+    eta = omega_hfs / |Delta_eff|. A far-detuned scalar shift sums the D lines
+    as w_i / Delta_i, Delta_i = omega_trap - omega_i, with line strengths
+    D2 : D1 = 2 : 1, so eta = omega_hfs |sum_i w_i / Delta_i| with weights
+    2/3 and 1/3."""
+    two_pi_c = TWO_PI * SPEED_OF_LIGHT
+    for wavelength in (1064e-9, 1052e-9, 938e-9, 780e-9, 532e-9):
+        omega = two_pi_c / wavelength
+        inverse = (2.0 / (omega - two_pi_c / CS_D2_WAVELENGTH)
+                   + 1.0 / (omega - two_pi_c / CS_D1_WAVELENGTH)) / 3.0
+        assert cesium_eta(wavelength) == pytest.approx(
+            CS_HYPERFINE_SPLITTING * abs(inverse), rel=1e-13)
 
 
 def test_dls_sigma_no_power_noise():

@@ -249,7 +249,7 @@ def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
     starts = [(math.sqrt(s0), math.sqrt(r0)) for s0, r0 in _decay_starts(t, y)]
     (u, v), rss, cov_uv, nfev = _levenberg_marquardt(
         fun, jac, starts, absolute, "coherence fit did not converge from any start")
-    scale = np.diag([2.0 * abs(u), 2.0 * abs(v)])
+    scale = np.diag([2.0 * u, 2.0 * v])  # d(u^2)/du keeps the sign of the root
     return _result("coherence_decay", {"sigma_dls_rad_s": u * u, "pjr_per_s": v * v},
                    scale @ cov_uv @ scale, rss, nfev)
 

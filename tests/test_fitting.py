@@ -22,6 +22,7 @@ from trapcoh import (
     fit_fringe,
     fit_ramsey_decay,
     ramsey_t2star_from_temperature,
+    t2_gradient,
     t2_time,
     temperature_from_ramsey_t2star,
 )
@@ -173,14 +174,58 @@ def test_decay_accepts_arrays_and_series_equally():
 
 
 def test_decay_bundled_dataset_recovery():
-    path = resources.files("trapcoh.data") / "decay_noisy_synthetic.csv"
-    cols = io.read_csv(str(path), CoherenceSeries.COLUMNS)
-    series = CoherenceSeries(*(cols[name] for name in CoherenceSeries.COLUMNS))
-    result = fit_coherence_decay(series)
+    result = fit_coherence_decay(bundled_series())
     assert result.converged
     for name, truth in (("sigma_dls_rad_s", 15.0), ("pjr_per_s", 5.14)):
         pull = abs(result.params[name] - truth) / result.uncertainties[name]
         assert pull < 3.0
+
+
+def bundled_series():
+    path = resources.files("trapcoh.data") / "decay_noisy_synthetic.csv"
+    cols = io.read_csv(str(path), CoherenceSeries.COLUMNS)
+    return CoherenceSeries(*(cols[name] for name in CoherenceSeries.COLUMNS))
+
+
+def decay_draw(rng):
+    """Weighted noisy decay to C = e^-3 from drawn (sigma_dls, R) and noise."""
+    sigma_dls, pjr = rng.uniform(5.0, 20.0), rng.uniform(2.0, 10.0)
+    t_max = t2_time(DecayParams(sigma_dls / math.sqrt(3.0), pjr / 3.0))
+    return noisy_series(sigma_dls, pjr, seed=int(rng.integers(2 ** 31)),
+                        sd=rng.uniform(0.005, 0.02), t_max=t_max, points=40)
+
+
+def direct_covariance(series, result):
+    """(J^T J)^-1 with J the whitened Jacobian taken directly in (sigma_dls, R)."""
+    s, r = result.params["sigma_dls_rad_s"], result.params["pjr_per_s"]
+    t = series.t_s
+    model = coherence(DecayParams(s, r), t)
+    jac = np.column_stack([-s * t * t * model, -t * model]) / series.sigma[:, None]
+    return np.linalg.inv(jac.T @ jac)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_decay_covariance_is_the_direct_one(monkeypatch, mirrored):
+    # the fit works in u = sqrt(sigma_dls) and v = sqrt(R); mirrored starts (-u, v)
+    # land on the root with u v < 0, which must give the same (sigma_dls, R) covariance
+    if mirrored:
+        lm = fitting._levenberg_marquardt
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", lambda fun, jac, starts, *rest:
+                            lm(fun, jac, [(-u, v) for u, v in starts], *rest))
+    rng = np.random.default_rng(4)
+    for series in [bundled_series(), *(decay_draw(rng) for _ in range(20))]:
+        result = fit_coherence_decay(series)
+        np.testing.assert_allclose(result.covariance, direct_covariance(series, result),
+                                   rtol=1e-9)
+    # ... and so the T2* uncertainty that fit_ramsey_decay propagates from it
+    series = bundled_series()
+    fit = fit_coherence_decay(series)
+    grad = np.array(t2_gradient(DecayParams(fit.params["sigma_dls_rad_s"],
+                                            fit.params["pjr_per_s"])))
+    t2_err = fit_ramsey_decay(series, ETA_1052).uncertainties["t2star_s"]
+    assert t2_err == pytest.approx(math.sqrt(grad @ direct_covariance(series, fit) @ grad),
+                                   rel=1e-9)
+    assert t2_err == pytest.approx(1.61e-3, rel=1e-2)
 
 
 def test_decay_replication_scales_uncertainties():

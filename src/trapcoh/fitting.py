@@ -1,9 +1,11 @@
 """Least-squares parameter extraction for fringes and decay curves.
 
 The fringe is linear in (b, (A/2) cos phi0, (A/2) sin phi0) and is solved
-in one step; decay and lifetime fits run Levenberg-Marquardt with analytic
-Jacobians. All report 1-sigma uncertainties from the Jacobian covariance
-at the optimum and raise instead of returning partial results:
+in one step; decay and lifetime fits run a numpy Levenberg-Marquardt with
+analytic Jacobians, which stops only when the scaled gradient or the
+relative step falls below 1e-12, never because the cost barely fell.
+All report 1-sigma uncertainties from the Jacobian covariance at the
+optimum and raise instead of returning partial results:
 FitConvergenceError when no start converges within the evaluation cap,
 UnidentifiableModelError when the data cannot constrain the model.
 
@@ -21,7 +23,6 @@ small nonzero corner values instead of zero.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,16 +32,8 @@ from .coherence import (CoherenceSeries, DecayParams, t2_gradient, t2_time,
 from .errors import DomainError, FitConvergenceError, TrapcohError, UnidentifiableModelError
 
 MAX_EVALUATIONS = 2000
-
-
-def __getattr__(name):
-    """Import `least_squares` on first use (PEP 562), so that only the LM
-    fits pay for its import; the name stays patchable."""
-    if name != "least_squares":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from scipy.optimize import least_squares
-    globals()["least_squares"] = least_squares
-    return least_squares
+#: LM stops when the scaled gradient or the relative step falls below this
+_LM_TOLERANCE = 1e-12
 
 
 #: residual floor below which a coherence series counts as saturated
@@ -108,25 +101,55 @@ def _weights(n_points, sigma):
     return 1.0 / w, True
 
 
+def _lm_run(fun, jac, x, f):
+    """(x, residuals, Jacobian, evaluations) where one LM run from x, with
+    residuals f, stops; None after MAX_EVALUATIONS evaluations. Marquardt
+    (1963) with Nielsen's damping update: Madsen, Nielsen & Tingleff,
+    "Methods for non-linear least squares problems" (2004), Alg. 3.16."""
+    nfev, mu, nu, eye = 1, 0.0, 2.0, np.eye(x.size)
+    while True:
+        jx = jac(x)
+        a, g, ff = jx.T @ jx, jx.T @ f, f @ f
+        if (np.abs(g) <= _LM_TOLERANCE * np.sqrt(ff * a.diagonal())).all():
+            return x, f, jx, nfev
+        mu = mu or 1e-3 * a.diagonal().max()  # tau = 1e-3 on the first pass
+        while True:  # raise the damping until a step lowers the cost
+            if nfev == MAX_EVALUATIONS:
+                return None
+            try:
+                h = np.linalg.solve(a + mu * eye, -g)
+            except np.linalg.LinAlgError:  # singular: J^T J underflowed to zero
+                return None
+            if math.sqrt(h @ h) <= _LM_TOLERANCE * (math.sqrt(x @ x) + _LM_TOLERANCE):
+                return x, f, jx, nfev
+            x_new = x + h
+            f_new = fun(x_new)
+            nfev += 1
+            rho = (ff - f_new @ f_new) / (h @ (mu * h - g))  # not > 0 if f_new is not finite
+            if rho > 0.0:
+                break
+            mu, nu = mu * nu, 2.0 * nu
+        x, f = x_new, f_new
+        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+
+
 def _levenberg_marquardt(fun, jac, starts, absolute, failure):
     """(x, rss, covariance of x, evaluations) of the lowest-cost run
     that converges from `starts`; FitConvergenceError(failure) if none.
     A trial step that overflows gives inf residuals, which LM rejects;
     starts with non-finite residuals are skipped."""
     with np.errstate(over="ignore", invalid="ignore"):  # also under the CLI's "raise"
-        starts = [x0 for x0 in map(np.asarray, starts) if np.all(np.isfinite(fun(x0)))]
+        starts = [(x0, fun(x0)) for x0 in (np.asarray(x, dtype=float) for x in starts)]
+        starts = [(x0, f0) for x0, f0 in starts if np.all(np.isfinite(f0))]
         if not starts:
             raise TrapcohError("fit residuals are not finite at any start", kind="non_finite")
-        solve = sys.modules[__name__].least_squares  # via __getattr__ until first use
-        runs = [solve(fun, x0, jac=jac, method="lm", xtol=1e-12, ftol=1e-12,
-                      gtol=1e-12, max_nfev=MAX_EVALUATIONS) for x0 in starts]
-    converged = [res for res in runs if res.success]
+        runs = [_lm_run(fun, jac, x0, f0) for x0, f0 in starts]
+    converged = [run for run in runs if run is not None]
     if not converged:
         raise FitConvergenceError(failure)
-    best = min(converged, key=lambda res: res.cost)  # the first of equal costs
-    rss = float(2.0 * best.cost)
-    cov = _covariance(best.jac, rss, best.fun.size, best.x.size, absolute)
-    return best.x, rss, cov, int(best.nfev)
+    x, f, jx, nfev = min(converged, key=lambda run: run[1] @ run[1])  # the first of equal costs
+    rss = float(f @ f)
+    return x, rss, _covariance(jx, rss, f.size, x.size, absolute), nfev
 
 
 def _result(model, params, cov, rss, n_iter):

@@ -13,6 +13,7 @@ from trapcoh import (
     CoherenceSeries,
     DecayParams,
     DomainError,
+    FitConvergenceError,
     TrapcohError,
     UnidentifiableModelError,
     analytic_series,
@@ -92,7 +93,7 @@ def test_fringe_fit_calls_no_solver(monkeypatch):
     def no_solver(*args, **kwargs):
         raise AssertionError("fit_fringe ran the nonlinear solver")
 
-    monkeypatch.setattr(fitting, "least_squares", no_solver)
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", no_solver)
     phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     result = fit_fringe(phases, 0.5 + 0.5 * 0.32 * np.cos(phases - 0.7))
     assert result.n_iter == 0
@@ -326,6 +327,72 @@ def test_lm_skips_non_finite_starts():
         with pytest.raises(TrapcohError) as err:
             fitting._levenberg_marquardt(fun, jac, [(-1000.0,)], False, "no fit")
     assert err.value.kind == "non_finite"
+
+
+def test_lm_rejects_non_finite_trial_steps():
+    # from k = 5 the first steps run to k << 0, where exp(-k t) overflows
+    t = np.linspace(0.0, 10.0, 5)
+    y = np.exp(-0.5 * t)
+    finite = []
+
+    def fun(x):
+        r = np.exp(-x[0] * t) - y
+        finite.append(bool(np.all(np.isfinite(r))))
+        return r
+
+    def jac(x):
+        return (-t * np.exp(-x[0] * t))[:, None]
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        x, rss, _, nfev = fitting._levenberg_marquardt(fun, jac, [(5.0,)], False, "no fit")
+    assert not all(finite)
+    assert x[0] == pytest.approx(0.5, rel=1e-9)
+    assert rss < 1e-20
+    assert nfev == len(finite)
+
+
+def test_lm_evaluation_cap_raises(monkeypatch):
+    monkeypatch.setattr(fitting, "MAX_EVALUATIONS", 2)
+    with pytest.raises(FitConvergenceError):
+        fit_coherence_decay(noisy_series(15.0, 5.14, seed=5))
+    with pytest.raises(FitConvergenceError):
+        fit_exponential(np.linspace(0.0, 3.0, 10), np.exp(-np.linspace(0.0, 3.0, 10)) + 0.01)
+
+
+def minpack_driver(fun, jac, starts, absolute, failure):
+    """_levenberg_marquardt with scipy's MINPACK LM, the solver it replaced."""
+    runs = [least_squares(fun, np.asarray(x0, dtype=float), jac=jac, method="lm", xtol=1e-12,
+                          ftol=1e-12, gtol=1e-12, max_nfev=fitting.MAX_EVALUATIONS)
+            for x0 in starts]
+    best = min((res for res in runs if res.success), key=lambda res: res.cost)
+    rss = 2.0 * best.cost
+    return best.x, rss, fitting._covariance(best.jac, rss, best.fun.size, best.x.size,
+                                            absolute), best.nfev
+
+
+def exponential_draw(rng):
+    amplitude, lifetime = rng.uniform(0.8, 1.0), math.exp(rng.uniform(math.log(0.5), math.log(10.0)))
+    t = np.linspace(0.0, 3.0 * lifetime, 30)
+    sd = rng.uniform(0.005, 0.02)
+    return t, amplitude * np.exp(-t / lifetime) + rng.normal(0.0, sd, t.size), np.full(30, sd)
+
+
+@pytest.mark.parametrize("model", ["coherence", "ramsey", "exponential"])
+def test_lm_matches_minpack(monkeypatch, model):
+    rng = np.random.default_rng(["coherence", "ramsey", "exponential"].index(model))
+    fit = {"coherence": fit_coherence_decay, "exponential": fit_exponential,
+           "ramsey": lambda series: fit_ramsey_decay(series, ETA_1052)}[model]
+    for _ in range(100):
+        data = exponential_draw(rng) if model == "exponential" else (decay_draw(rng),)
+        ours = fit(*data)
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "_levenberg_marquardt", minpack_driver)
+            oracle = fit(*data)
+        assert ours.rss <= oracle.rss * (1.0 + 1e-12)
+        for name in ours.params:
+            assert ours.params[name] == pytest.approx(oracle.params[name], rel=1e-7)
+            assert ours.uncertainties[name] == pytest.approx(oracle.uncertainties[name],
+                                                             rel=1e-7)
 
 
 def test_ramsey_decay_thermometry():

@@ -1,4 +1,4 @@
-"""scipy stays off the import path: only the LM fits import it."""
+"""The runtime is numpy only: no command imports scipy, which the tests use as an oracle."""
 
 import json
 import os
@@ -44,3 +44,16 @@ def test_psd_command_imports_no_scipy(tmp_path):
             " '--outdir', sys.argv[2]]) == 0\n")
     assert json.loads(run_python(code + SCIPY_MODULES, data, tmp_path / "out")) == []
     assert (tmp_path / "out" / "psd.csv").exists()
+
+
+def test_coherence_fit_imports_no_scipy(tmp_path):
+    t = np.linspace(0.0, 0.2, 12)
+    io.write_csv(tmp_path / "decay.csv", ("t_s", "coherence", "sigma"), t,
+                 np.exp(-0.5 * (15.0 * t) ** 2 - 5.14 * t), np.full(t.size, 0.03))
+    code = ("import sys\n"
+            "from trapcoh import cli\n"
+            "assert cli.main(['fit', '--data', sys.argv[1], '--model', 'coherence',"
+            " '--outdir', sys.argv[2]]) == 0\n")
+    stderr = run_python(code + SCIPY_MODULES, tmp_path / "decay.csv", tmp_path / "out")
+    assert json.loads(stderr.splitlines()[-1]) == []  # after the command's INFO line
+    assert (tmp_path / "out" / "residuals.csv").exists()

@@ -139,7 +139,7 @@ def _levenberg_marquardt(fun, jac, starts, absolute, failure):
     A trial step that overflows gives inf residuals, which LM rejects;
     starts with non-finite residuals are skipped."""
     with np.errstate(over="ignore", invalid="ignore"):  # also under the CLI's "raise"
-        starts = [(x0, fun(x0)) for x0 in (np.asarray(x, dtype=float) for x in starts)]
+        starts = [(x0, fun(x0)) for x0 in map(np.asarray, starts)]
         starts = [(x0, f0) for x0, f0 in starts if np.all(np.isfinite(f0))]
         if not starts:
             raise TrapcohError("fit residuals are not finite at any start", kind="non_finite")

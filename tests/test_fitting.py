@@ -174,18 +174,18 @@ def test_decay_accepts_arrays_and_series_equally():
     assert from_series.uncertainties == from_arrays.uncertainties
 
 
+def bundled_series():
+    path = resources.files("trapcoh.data") / "decay_noisy_synthetic.csv"
+    cols = io.read_csv(str(path), CoherenceSeries.COLUMNS)
+    return CoherenceSeries(*(cols[name] for name in CoherenceSeries.COLUMNS))
+
+
 def test_decay_bundled_dataset_recovery():
     result = fit_coherence_decay(bundled_series())
     assert result.converged
     for name, truth in (("sigma_dls_rad_s", 15.0), ("pjr_per_s", 5.14)):
         pull = abs(result.params[name] - truth) / result.uncertainties[name]
         assert pull < 3.0
-
-
-def bundled_series():
-    path = resources.files("trapcoh.data") / "decay_noisy_synthetic.csv"
-    cols = io.read_csv(str(path), CoherenceSeries.COLUMNS)
-    return CoherenceSeries(*(cols[name] for name in CoherenceSeries.COLUMNS))
 
 
 def decay_draw(rng):
@@ -371,7 +371,9 @@ def minpack_driver(fun, jac, starts, absolute, failure):
 
 
 def exponential_draw(rng):
-    amplitude, lifetime = rng.uniform(0.8, 1.0), math.exp(rng.uniform(math.log(0.5), math.log(10.0)))
+    """Weighted noisy survival over three lifetimes, lifetime log-uniform in 0.5..10."""
+    amplitude = rng.uniform(0.8, 1.0)
+    lifetime = math.exp(rng.uniform(math.log(0.5), math.log(10.0)))
     t = np.linspace(0.0, 3.0 * lifetime, 30)
     sd = rng.uniform(0.005, 0.02)
     return t, amplitude * np.exp(-t / lifetime) + rng.normal(0.0, sd, t.size), np.full(30, sd)

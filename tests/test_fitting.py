@@ -360,7 +360,7 @@ def test_lm_evaluation_cap_raises(monkeypatch):
 
 
 def minpack_driver(fun, jac, starts, absolute, failure):
-    """_levenberg_marquardt with scipy's MINPACK LM, the solver it replaced."""
+    """Reference _levenberg_marquardt: scipy's MINPACK LM from each start."""
     runs = [least_squares(fun, np.asarray(x0, dtype=float), jac=jac, method="lm", xtol=1e-12,
                           ftol=1e-12, gtol=1e-12, max_nfev=fitting.MAX_EVALUATIONS)
             for x0 in starts]

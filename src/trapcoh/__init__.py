@@ -9,13 +9,11 @@ noise-spectrum ingestion, and the fitting pipeline that extracts the
 channel parameters from coherence data.
 """
 
-from importlib.metadata import PackageNotFoundError, version
-
 from .coherence import (COHERENCE_MAX, COHERENCE_MIN, RAMSEY_THERMOMETRY_FACTOR,
                         CoherenceSeries, DecayParams, ScatteringParams,
                         analytic_series, coherence, gaussian_channel_mc,
                         lifetime_corrected_t2, ramsey_t2star_from_temperature,
-                        scattering_decay_rate_rk4, scattering_params,
+                        scattering_decay_rate, scattering_params,
                         t2_gradient, t2_time, temperature_from_ramsey_t2star)
 from .errors import (ConfigError, DomainError, FitConvergenceError, TrapcohError,
                      UnidentifiableModelError)
@@ -35,10 +33,7 @@ from .trap import (AtomSpecies, FixedOccupation, ThermalOccupation, TrapConfig,
                    effective_detuning, eta_from_detuning, mean_phonon_number,
                    thermal_average_dls_sigma, thermal_moments, thermal_probability)
 
-try:
-    __version__ = version("trapcoh")
-except PackageNotFoundError:
-    __version__ = "0.1.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "COHERENCE_MAX", "COHERENCE_MIN", "RAMSEY_THERMOMETRY_FACTOR",
@@ -56,7 +51,7 @@ __all__ = [
     "intensity_jump_rate", "lifetime_corrected_t2", "mean_phonon_number",
     "pointing_jump_rate", "psd_f_to_omega", "psd_to_dbc", "ramsey",
     "ramsey_t2star_from_temperature", "relative_variance", "sample_filter",
-    "scattering_decay_rate_rk4", "scattering_params", "simulate_fringe",
+    "scattering_decay_rate", "scattering_params", "simulate_fringe",
     "spin_echo", "survival_probability", "t2_gradient", "t2_time",
     "temperature_from_ramsey_t2star", "thermal_average_dls_sigma",
     "thermal_average_pjr", "thermal_moments",

@@ -1,4 +1,4 @@
-"""Combined qubit coherence model and its Monte-Carlo / ODE cross-checks.
+"""Combined qubit coherence model, its Monte-Carlo cross-check and the scattering limit.
 
 The two decay channels act independently, so the fringe contrast is
 
@@ -11,6 +11,7 @@ pjr (1/s). The 1/e coherence time solves sigma**2 t**2 / 2 + R t = 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -120,16 +121,21 @@ class ScatteringParams:
     near_resonance: bool
 
 
+def _check_beam(rabi_rad_s, detuning_rad_s, linewidth_rad_s):
+    """Domain of the two scattering functions; NaN fails every comparison."""
+    if not 0.0 < abs(detuning_rad_s) < math.inf:
+        raise DomainError("detuning must be finite and nonzero")
+    if not (0.0 <= rabi_rad_s < math.inf and 0.0 <= linewidth_rad_s < math.inf):
+        raise DomainError("Rabi frequency and linewidth must be finite and nonnegative")
+
+
 def scattering_params(rabi_rad_s, detuning_rad_s, linewidth_rad_s) -> ScatteringParams:
     """Adiabatic-elimination results for one far-detuned beam.
 
     light shift Omega**2 / (4 Delta), scattering rate Omega**2 Gamma /
     (4 Delta**2), coherence 1/e time 2 / rate.
     """
-    if detuning_rad_s == 0.0:
-        raise DomainError("detuning must be nonzero")
-    if rabi_rad_s < 0.0 or linewidth_rad_s < 0.0:
-        raise DomainError("Rabi frequency and linewidth must be nonnegative")
+    _check_beam(rabi_rad_s, detuning_rad_s, linewidth_rad_s)
     shift = rabi_rad_s ** 2 / (4.0 * detuning_rad_s)
     rate = rabi_rad_s ** 2 * linewidth_rad_s / (4.0 * detuning_rad_s ** 2)
     t2 = None if rate == 0.0 else 2.0 / rate
@@ -141,52 +147,25 @@ def scattering_params(rabi_rad_s, detuning_rad_s, linewidth_rad_s) -> Scattering
     )
 
 
-def scattering_decay_rate_rk4(rabi_rad_s, detuning_rad_s, linewidth_rad_s,
-                              dt=None, t_total=None, n_samples=400) -> float:
-    """Coherence decay rate from fixed-step integration of the two-level system.
+def scattering_decay_rate(rabi_rad_s, detuning_rad_s, linewidth_rad_s) -> float:
+    """Exact coherence decay rate of the driven two-level system.
 
-    Propagates the coupled linear equations for the ground-state coherence
-    c_ab and the cross coherence c_ae,
-
-        d c_ab / dt = -i (Omega/2) c_ae
-        d c_ae / dt = -i (Omega/2) c_ab + (i Delta - Gamma/2) c_ae
-
-    with a fixed-step fourth-order scheme, then extracts the exponential
-    decay rate of |c_ab| by a least-squares slope of log |c_ab|. Serves as
-    the independent cross-check of scattering_params; it does not assume
-    the adiabatic elimination.
+    The ground-state and cross coherences obey d/dt (c_ab, c_ae) = A (c_ab, c_ae),
+    A = [[0, -i Omega/2], [-i Omega/2, b]] with b = i Delta - Gamma/2, and |c_ab|
+    decays at -Re of A's slow eigenvalue. With q the larger-modulus root
+    (b +- sqrt(b**2 - Omega**2)) / 2 of lambda**2 - b lambda + Omega**2 / 4 = 0,
+    that eigenvalue is (Omega**2 / 4) / q by Vieta's product; the textbook
+    (b + sqrt(...)) / 2 cancels, with relative error about eps (Delta / Omega)**2.
+    No adiabatic elimination is made, so this cross-checks scattering_params.
     """
-    if detuning_rad_s == 0.0:
-        raise DomainError("detuning must be nonzero")
-    if not rabi_rad_s > 0.0 or not linewidth_rad_s > 0.0:
-        raise DomainError("need positive Rabi frequency and linewidth")
-    scale = max(abs(detuning_rad_s), linewidth_rad_s, rabi_rad_s)
-    if dt is None:
-        dt = 0.02 / scale
-    if t_total is None:
-        # window sized so log|c_ab| drops by an O(0.25) measurable amount;
-        # only the window, never the extracted rate, uses this scaling
-        t_total = 2.0 * detuning_rad_s ** 2 / (rabi_rad_s ** 2 * linewidth_rad_s)
-    a = np.array([[0.0, -0.5j * rabi_rad_s],
-                  [-0.5j * rabi_rad_s, 1j * detuning_rad_s - 0.5 * linewidth_rad_s]])
-    adt = a * dt
-    step = (np.eye(2) + adt + adt @ adt / 2.0
-            + adt @ adt @ adt / 6.0 + adt @ adt @ adt @ adt / 24.0)
-    n_sub = max(1, int(round(t_total / (n_samples * dt))))
-    hop = np.linalg.matrix_power(step, n_sub)
-    state = np.array([1.0 + 0.0j, 0.0 + 0.0j])
-    ts = np.empty(n_samples)
-    amps = np.empty(n_samples)
-    for k in range(n_samples):
-        state = hop @ state
-        ts[k] = (k + 1) * n_sub * dt
-        amps[k] = abs(state[0])
-    # skip the initial transient (fast eigenmode dies off at Gamma/2)
-    keep = ts > max(20.0 / linewidth_rad_s, 0.05 * t_total)
-    if keep.sum() < 10 or np.any(amps[keep] <= 0.0):
-        raise DomainError("integration window too short to extract a rate")
-    slope = np.polyfit(ts[keep], np.log(amps[keep]), 1)[0]
-    return float(-slope)
+    _check_beam(rabi_rad_s, detuning_rad_s, linewidth_rad_s)
+    # in units of a power of two, which is exact, so that b * b cannot overflow
+    k = math.frexp(max(abs(detuning_rad_s), linewidth_rad_s, rabi_rad_s))[1]
+    rabi = math.ldexp(rabi_rad_s, -k)
+    b = complex(-0.5 * math.ldexp(linewidth_rad_s, -k), math.ldexp(detuning_rad_s, -k))
+    root = cmath.sqrt(b * b - rabi * rabi)
+    fast = max(b + root, b - root, key=abs) / 2.0
+    return math.ldexp(-(0.25 * rabi * rabi / fast).real, k) + 0.0
 
 
 @dataclass(frozen=True)

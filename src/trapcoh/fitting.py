@@ -203,9 +203,10 @@ def _decay_starts(t, y):
     half = max(ts.size // 2, 2)
     sigma0, r0 = eps, eps
     head = ys[:half] > 0.05
-    if np.count_nonzero(head) >= 2:
-        tt, ll = ts[:half][head] ** 2, np.log(ys[:half][head])
-        slope = np.polyfit(tt, ll, 1)[0]
+    tt = ts[:half][head] ** 2
+    # t**2 can underflow to 0.0, and polyfit divides by the norm of its t**2 column
+    if tt.size >= 2 and tt.min() < tt.max() and tt.max() ** 2 > 0.0:
+        slope = np.polyfit(tt, np.log(ys[:half][head]), 1)[0]
         sigma0 = math.sqrt(max(-2.0 * slope, eps * eps))
     tail = ys[half:] > 0.05
     if np.count_nonzero(tail) >= 2:

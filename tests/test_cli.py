@@ -170,6 +170,20 @@ def test_fit_exponential_survives_overflowing_step(tmp_path, capsys):
     assert doc["rss"] <= 0.34607936862310434
 
 
+@pytest.mark.parametrize("t_head", [1e-200, 1e-100])
+def test_fit_coherence_with_underflowing_head(t_head, tmp_path, capsys):
+    # the second time squares to 0.0 (1e-200), or to a t**2 column whose norm
+    # underflows (1e-100); the head-slope start is skipped, not a 0/0 exit 3
+    path = tmp_path / "decay.csv"
+    io.write_csv(path, CoherenceSeries.COLUMNS, np.array([0.0, t_head, 0.5, 1.0, 2.0]),
+                 np.array([1.0, 0.9, 0.5, 0.3, 0.1]), np.full(5, 0.02))
+    assert cli.main(["fit", "--data", str(path), "--model", "coherence",
+                     "--outdir", str(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["converged"]
+    assert doc["rss"] == pytest.approx(29.266236124458217, rel=1e-9)
+
+
 def test_fit_ramsey_cli(tmp_path):
     t2star = 5.49e-3
     series = analytic_series(DecayParams(math.sqrt(2.0) / t2star, 0.0),

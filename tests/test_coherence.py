@@ -18,7 +18,7 @@ from trapcoh import (
     gaussian_channel_mc,
     lifetime_corrected_t2,
     ramsey_t2star_from_temperature,
-    scattering_decay_rate_rk4,
+    scattering_decay_rate,
     scattering_params,
     t2_gradient,
     t2_time,
@@ -173,14 +173,50 @@ def test_scattering_params_edge_cases():
         scattering_params(-gamma, 10.0 * gamma, gamma)
 
 
-def test_scattering_rk4_matches_adiabatic_rate():
+@pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4, 1e5, 1e6])
+def test_scattering_rate_approaches_adiabatic_rate(ratio):
+    # with Omega = Gamma the exact slow root is Omega**2 Gamma / (8 Delta**2)
+    # (1 - (Gamma/Delta)**2 + ...), so the gap to 1 / t2_s closes as (Gamma/Delta)**2;
+    # a fixed-step integrator misses this bound at 1e3 (2.0e-5), the textbook
+    # root (b + sqrt(b**2 - Omega**2)) / 2 at 1e6 (8e-6)
     gamma = CS_D2_LINEWIDTH
-    rate = scattering_decay_rate_rk4(gamma, 100.0 * gamma, gamma)
-    assert rate == pytest.approx(410.148895301979, rel=1e-12)
-    sp = scattering_params(gamma, 100.0 * gamma, gamma)
-    assert abs(rate * sp.t2_s - 1.0) < 1e-3
+    rate = scattering_decay_rate(gamma, ratio * gamma, gamma)
+    t2 = scattering_params(gamma, ratio * gamma, gamma).t2_s
+    assert abs(rate * t2 - 1.0) <= 2.0 / ratio ** 2
+
+
+@pytest.mark.parametrize("ratio", [3.0, 10.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_scattering_rate_is_the_slow_eigenvalue(ratio, sign):
+    gamma = CS_D2_LINEWIDTH
+    detuning = sign * ratio * gamma
+    generator = np.array([[0.0, -0.5j * gamma],
+                          [-0.5j * gamma, 1j * detuning - 0.5 * gamma]])
+    slowest = -np.max(np.linalg.eigvals(generator).real)
+    assert scattering_decay_rate(gamma, detuning, gamma) == pytest.approx(slowest, rel=1e-10)
+
+
+def test_scattering_rate_edge_cases():
+    gamma = CS_D2_LINEWIDTH
+    # no drive or no decay channel: the coherence never decays
+    assert scattering_decay_rate(0.0, 100.0 * gamma, gamma) == 0.0
+    assert scattering_decay_rate(gamma, 100.0 * gamma, 0.0) == 0.0
     with pytest.raises(DomainError):
-        scattering_decay_rate_rk4(gamma, 0.0, gamma)
+        scattering_decay_rate(gamma, 0.0, gamma)
+    # the rate scales with its arguments, also where b**2 would overflow
+    big = 2.0 ** 600
+    exact = big * scattering_decay_rate(1.0, 10.0, 1.0)
+    assert scattering_decay_rate(big, 10.0 * big, big) == exact
+
+
+@pytest.mark.parametrize("function", [scattering_params, scattering_decay_rate])
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_scattering_rejects_non_finite_inputs(function, position, bad):
+    args = [CS_D2_LINEWIDTH, 100.0 * CS_D2_LINEWIDTH, CS_D2_LINEWIDTH]
+    args[position] = bad
+    with pytest.raises(DomainError):
+        function(*args)
 
 
 def test_analytic_series_matches_pointwise():

@@ -1,4 +1,5 @@
-"""The runtime is numpy only: no command imports scipy, which the tests use as an oracle."""
+"""The runtime is numpy only: no command imports scipy, which the tests use as an
+oracle, and the version is a literal, read without importlib.metadata."""
 
 import json
 import os
@@ -32,6 +33,14 @@ def test_import_cli_leaves_scipy_solvers_out():
     loaded = json.loads(run_python("import trapcoh.cli\n" + SCIPY_MODULES))
     assert "scipy.signal" not in loaded
     assert "scipy.optimize" not in loaded
+
+
+def test_import_cli_leaves_importlib_metadata_out():
+    # __version__ is a literal; pyproject.toml reads it through setuptools' attr
+    code = ("import json, sys\n"
+            "import trapcoh.cli\n"
+            "json.dump('importlib.metadata' in sys.modules, sys.stderr)\n")
+    assert json.loads(run_python(code)) is False
 
 
 def test_psd_command_imports_no_scipy(tmp_path):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io
 from .constants import BOLTZMANN, HBAR
-from .errors import DomainError
+from .errors import DomainError, TrapcohError
 
 #: calibration factor of the Ramsey-contrast thermometry relation
 RAMSEY_THERMOMETRY_FACTOR = 0.97
@@ -132,13 +132,15 @@ def _check_beam(rabi_rad_s, detuning_rad_s, linewidth_rad_s):
 def scattering_params(rabi_rad_s, detuning_rad_s, linewidth_rad_s) -> ScatteringParams:
     """Adiabatic-elimination results for one far-detuned beam.
 
-    light shift Omega**2 / (4 Delta), scattering rate Omega**2 Gamma /
-    (4 Delta**2), coherence 1/e time 2 / rate.
+    light shift q Omega / 2 = Omega**2 / (4 Delta), scattering rate q**2 Gamma and
+    coherence 1/e time 2 / rate, from q = Omega / (2 Delta), so no square overflows.
     """
     _check_beam(rabi_rad_s, detuning_rad_s, linewidth_rad_s)
-    shift = rabi_rad_s ** 2 / (4.0 * detuning_rad_s)
-    rate = rabi_rad_s ** 2 * linewidth_rad_s / (4.0 * detuning_rad_s ** 2)
+    q = 0.5 * rabi_rad_s / detuning_rad_s
+    shift, rate = q * (0.5 * rabi_rad_s), q * (q * linewidth_rad_s)  # q Gamma <= max(Gamma, rate)
     t2 = None if rate == 0.0 else 2.0 / rate
+    if not all(map(math.isfinite, (shift, rate, t2 or 0.0))):
+        raise TrapcohError("scattering figures exceed the float range", kind="non_finite")
     return ScatteringParams(
         light_shift_rad_s=shift,
         scattering_rate_per_s=rate,

@@ -13,11 +13,10 @@ With per-point uncertainties the residuals are whitened and the
 covariance is (J^T J)^-1 taken as absolute; with uniform weights it is
 scaled by rss / (N - p).
 
-The two decay channels of the coherence model are kept nonnegative by
-fitting their square roots; estimates and uncertainties are mapped back
-by the delta method. Because the gradient with respect to a square-root
-parameter vanishes exactly at zero, multi-start initial guesses use
-small nonzero corner values instead of zero.
+The coherence decay is fitted in time scaled by its largest value, as
+C = exp(-s**2 tau**2 / 2 - v**2 tau), so the fit is scale-free and both
+channels stay nonnegative; the delta method maps s and v back. s = 0 and
+v = 0 are stationary points, so every LM start stays off them.
 """
 
 from __future__ import annotations
@@ -193,46 +192,46 @@ def fit_fringe(phases_rad, population, sigma=None) -> FitResult:
                    cov, rss, 0)
 
 
-def _decay_starts(t, y):
-    """Multi-start guesses for the two-channel decay, all strictly positive."""
-    order = np.argsort(t)
-    ts, ys = t[order], y[order]
-    span = float(ts[-1]) if ts[-1] > 0.0 else 1.0
-    eps = 0.01 / span
+def _scaled_starts(tau, y, w):
+    """LM starts (s, v) in scaled time, with s**2 / 2 and v**2 floored at 0.1.
 
-    half = max(ts.size // 2, 2)
-    sigma0, r0 = eps, eps
-    head = ys[:half] > 0.05
-    tt = ts[:half][head] ** 2
-    # t**2 can underflow to 0.0, and polyfit divides by the norm of its t**2 column
-    if tt.size >= 2 and tt.min() < tt.max() and tt.max() ** 2 > 0.0:
-        slope = np.polyfit(tt, np.log(ys[:half][head]), 1)[0]
-        sigma0 = math.sqrt(max(-2.0 * slope, eps * eps))
-    tail = ys[half:] > 0.05
-    if np.count_nonzero(tail) >= 2:
-        slope = np.polyfit(ts[half:][tail], np.log(ys[half:][tail]), 1)[0]
-        r0 = max(-slope, eps)
+    (a) The weighted NNLS fit of log C = -(s**2 / 2) tau**2 - v**2 tau to the
+    points with C > 0.05, weights C / sigma_i (delta method): the best
+    nonnegative solution over the active sets. (b) The 1/e time at the first
+    crossing of C = 1/e, shared by both channels, and (c) from R alone.
+    """
+    keep = y > 0.05
+    wy = (w * y)[keep] / np.max(w * y, where=keep, initial=0.0)  # at most 1: no overflow
+    design = np.column_stack([tau[keep] ** 2, tau[keep]]) * wy[:, None]
+    rhs = -np.log(y[keep]) * wy
+    best, coef = math.inf, np.zeros(2)
+    for cols in ([0, 1], [0], [1]):
+        p = np.zeros(2)
+        p[cols] = np.linalg.lstsq(design[:, cols], rhs, rcond=None)[0]
+        cost = np.sum((design @ p - rhs) ** 2)
+        if p.min() >= 0.0 and cost < best:
+            best, coef = cost, p
+    gauss, rate = np.maximum(coef, 0.1)
 
-    crossing = np.nonzero(ys < math.exp(-1.0))[0]
-    if crossing.size and crossing[0] > 0:
-        k = crossing[0]
-        frac = (math.exp(-1.0) - ys[k - 1]) / (ys[k] - ys[k - 1])
-        te = ts[k - 1] + frac * (ts[k] - ts[k - 1])
-    elif crossing.size:
-        te = ts[0] if ts[0] > 0.0 else span
-    else:
-        te = 1.5 * span
-    te = max(te, 1e-3 * span)
-
-    return [(sigma0, r0), (sigma0, eps), (eps, r0), (1.0 / te, 0.5 / te)]
+    ts, ys = np.stack([tau, y])[:, np.argsort(tau)]
+    k = int(np.argmax(ys < math.exp(-1.0)))  # the first point below 1/e, or 0
+    if k:
+        te = ts[k - 1] + (math.exp(-1.0) - ys[k - 1]) / (ys[k] - ys[k - 1]) * (ts[k] - ts[k - 1])
+    else:  # C starts below 1/e, or never falls below it
+        te = (ts[0] or 1.0) if ys[0] < math.exp(-1.0) else 1.5
+    te = max(te, 1e-3)
+    return [(math.sqrt(2.0 * gauss), math.sqrt(rate)), (1.0 / te, math.sqrt(0.5 / te)),
+            (math.sqrt(0.2), math.sqrt(1.0 / te))]
 
 
 def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
     """Extract (sigma_dls, R) from a coherence decay.
 
     Accepts a CoherenceSeries, or arrays fit_coherence_decay(t, c, sigma).
-    Weighted LM on C(t) = exp(-sigma**2 t**2 / 2 - R t) with both
-    parameters nonnegative; best of four starts by residual.
+    Weighted LM on C = exp(-s**2 tau**2 / 2 - v**2 tau) in the scaled time
+    tau = t / t_max, so that the fit is the same at every time scale and
+    sigma_dls = |s| / t_max and R = v**2 / t_max are nonnegative; best by
+    residual of three starts (_scaled_starts).
     """
     if isinstance(series, CoherenceSeries):
         t, y = series.t_s, series.coherence
@@ -256,26 +255,28 @@ def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
         raise UnidentifiableModelError(
             "series is fully decayed, channels are unconstrained")
     w, absolute = _weights(t.size, sigma)
-    tt = t * t
+    t_max = float(t.max())
+    tau = t / t_max
+    tt = tau * tau
 
     def fun(x):
-        u, v = x
-        return w * (np.exp(-0.5 * u ** 4 * tt - v * v * t) - y)
+        s, v = x
+        return w * (np.exp(-0.5 * s * s * tt - v * v * tau) - y)
 
     def jac(x):
-        u, v = x
-        model = np.exp(-0.5 * u ** 4 * tt - v * v * t)
-        out = np.empty((t.size, 2))
-        out[:, 0] = w * model * (-2.0 * u ** 3 * tt)
-        out[:, 1] = w * model * (-2.0 * v * t)
-        return out
+        s, v = x
+        wm = w * np.exp(-0.5 * s * s * tt - v * v * tau)
+        return np.column_stack([wm * (-s * tt), wm * (-2.0 * v * tau)])
 
-    starts = [(math.sqrt(s0), math.sqrt(r0)) for s0, r0 in _decay_starts(t, y)]
-    (u, v), rss, cov_uv, nfev = _levenberg_marquardt(
-        fun, jac, starts, absolute, "coherence fit did not converge from any start")
-    scale = np.diag([2.0 * u, 2.0 * v])  # d(u^2)/du keeps the sign of the root
-    return _result("coherence_decay", {"sigma_dls_rad_s": u * u, "pjr_per_s": v * v},
-                   scale @ cov_uv @ scale, rss, nfev)
+    (s, v), rss, cov_sv, nfev = _levenberg_marquardt(
+        fun, jac, _scaled_starts(tau, y, w), absolute,
+        "coherence fit did not converge from any start")
+    scale = np.array([math.copysign(1.0, s), 2.0 * v]) / t_max  # d(sigma, R) / d(s, v)
+    err = np.abs(scale) * np.sqrt(np.maximum(np.diag(cov_sv), 0.0))
+    with np.errstate(over="ignore"):  # at a tiny t_max the variances exceed the float range
+        cov = scale[:, None] * cov_sv * scale
+    params = {"sigma_dls_rad_s": float(abs(s) / t_max), "pjr_per_s": float(v * v / t_max)}
+    return FitResult("coherence_decay", params, dict(zip(params, err.tolist())), rss, nfev, cov)
 
 
 def fit_exponential(t_s, survival, sigma=None) -> FitResult:
@@ -305,10 +306,7 @@ def fit_exponential(t_s, survival, sigma=None) -> FitResult:
     def jac(x):
         p0, k = x
         damp = np.exp(-k * t)
-        out = np.empty((t.size, 2))
-        out[:, 0] = w * damp
-        out[:, 1] = w * p0 * (-t) * damp
-        return out
+        return np.column_stack([w * damp, w * p0 * (-t) * damp])
 
     (p0, k), rss, cov_pk, nfev = _levenberg_marquardt(
         fun, jac, [x0], absolute, "lifetime fit did not converge")

@@ -173,7 +173,7 @@ def test_fit_exponential_survives_overflowing_step(tmp_path, capsys):
 @pytest.mark.parametrize("t_head", [1e-200, 1e-100])
 def test_fit_coherence_with_underflowing_head(t_head, tmp_path, capsys):
     # the second time squares to 0.0 (1e-200), or to a t**2 column whose norm
-    # underflows (1e-100); the head-slope start is skipped, not a 0/0 exit 3
+    # underflows (1e-100); neither may end in a 0/0 exit 3
     path = tmp_path / "decay.csv"
     io.write_csv(path, CoherenceSeries.COLUMNS, np.array([0.0, t_head, 0.5, 1.0, 2.0]),
                  np.array([1.0, 0.9, 0.5, 0.3, 0.1]), np.full(5, 0.02))
@@ -182,6 +182,26 @@ def test_fit_coherence_with_underflowing_head(t_head, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["converged"]
     assert doc["rss"] == pytest.approx(29.266236124458217, rel=1e-9)
+
+
+def test_fit_coherence_on_tiny_times(tmp_path, capsys):
+    # the fit runs on t / t_max: a decay over 4e-170 s fits as the same decay over
+    # 4 s, with rates 1e170 times higher
+    docs = []
+    for scale in (1e-170, 1.0):
+        path = tmp_path / "decay.csv"
+        io.write_csv(path, CoherenceSeries.COLUMNS, np.arange(5.0) * scale,
+                     np.array([1.0, 0.9, 0.5, 0.3, 0.1]), np.full(5, 0.02))
+        assert cli.main(["fit", "--data", str(path), "--model", "coherence",
+                         "--outdir", str(tmp_path)]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    tiny, unit = docs
+    for name in ("sigma_dls_rad_s", "pjr_per_s"):
+        err = unit["uncertainties"][name] * 1e170
+        assert tiny["uncertainties"][name] == pytest.approx(err, rel=1e-9)
+        # R ends near 0 here, so it is compared on the scale of its uncertainty
+        assert tiny["params"][name] == pytest.approx(unit["params"][name] * 1e170,
+                                                     rel=1e-9, abs=1e-9 * err)
 
 
 def test_fit_ramsey_cli(tmp_path):

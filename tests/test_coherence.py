@@ -13,6 +13,7 @@ from trapcoh import (
     DecayParams,
     DomainError,
     RAMSEY_THERMOMETRY_FACTOR,
+    TrapcohError,
     analytic_series,
     coherence,
     gaussian_channel_mc,
@@ -171,6 +172,16 @@ def test_scattering_params_edge_cases():
         scattering_params(gamma, 0.0, gamma)
     with pytest.raises(DomainError):
         scattering_params(-gamma, 10.0 * gamma, gamma)
+    # Omega**2 alone overflows here, the results do not: they are formed from
+    # q = Omega / (2 Delta) = 0.05
+    huge = scattering_params(1e200, 1e201, 1.0)
+    assert huge.light_shift_rad_s == pytest.approx(2.5e198, rel=1e-15)
+    assert huge.scattering_rate_per_s == pytest.approx(2.5e-3, rel=1e-15)
+    assert huge.t2_s == pytest.approx(800.0, rel=1e-15)
+    # a light shift Omega**2 / (4 Delta) = 2.5e309 that exceeds the float range
+    with pytest.raises(TrapcohError) as err:
+        scattering_params(1e300, 1e291, 1.0)
+    assert err.value.kind == "non_finite"
 
 
 @pytest.mark.parametrize("ratio", [1e2, 1e3, 1e4, 1e5, 1e6])

@@ -207,12 +207,21 @@ def direct_covariance(series, result):
 
 @pytest.mark.parametrize("mirrored", [False, True])
 def test_decay_covariance_is_the_direct_one(monkeypatch, mirrored):
-    # the fit works in u = sqrt(sigma_dls) and v = sqrt(R); mirrored starts (-u, v)
-    # land on the root with u v < 0, which must give the same (sigma_dls, R) covariance
-    if mirrored:
-        lm = fitting._levenberg_marquardt
-        monkeypatch.setattr(fitting, "_levenberg_marquardt", lambda fun, jac, starts, *rest:
-                            lm(fun, jac, [(-u, v) for u, v in starts], *rest))
+    # the fit works in s = sigma_dls t_max and v = sqrt(R t_max); starts mirrored to
+    # (-s, v) or (s, -v) land on the optimum with s < 0 or v < 0, which must give the
+    # same (sigma_dls, R) covariance
+    lm = fitting._levenberg_marquardt
+    for mirror in [(-1.0, 1.0), (1.0, -1.0)] if mirrored else [(1.0, 1.0)]:
+        def mirrored_lm(fun, jac, starts, *rest, mirror=mirror):
+            x, *out = lm(fun, jac, [np.multiply(mirror, x0) for x0 in starts], *rest)
+            assert np.array_equal(np.sign(x), mirror)  # the optimum on the mirrored side
+            return (x, *out)
+
+        monkeypatch.setattr(fitting, "_levenberg_marquardt", mirrored_lm)
+        check_direct_covariance()
+
+
+def check_direct_covariance():
     rng = np.random.default_rng(4)
     for series in [bundled_series(), *(decay_draw(rng) for _ in range(20))]:
         result = fit_coherence_decay(series)
@@ -255,6 +264,28 @@ def test_decay_order_invariance():
     straight = fit_coherence_decay(series)
     for name in ("sigma_dls_rad_s", "pjr_per_s"):
         assert shuffled.params[name] == pytest.approx(straight.params[name], rel=1e-6)
+
+
+@pytest.mark.parametrize("k", [1e-170, 1e-3, 1.0, 1e3, 1e150])
+def test_decay_fit_is_scale_free(k):
+    # the fit runs on t / t_max, so stretching time by k divides both rates by k
+    series = noisy_series(15.0, 5.14, seed=5)
+    ref = fit_coherence_decay(series)
+    got = fit_coherence_decay(series.t_s * k, series.coherence, sigma=series.sigma)
+    for name in ("sigma_dls_rad_s", "pjr_per_s"):
+        assert got.params[name] == pytest.approx(ref.params[name] / k, rel=1e-9)
+        assert got.uncertainties[name] == pytest.approx(ref.uncertainties[name] / k, rel=1e-9)
+    assert got.rss == pytest.approx(ref.rss, rel=1e-12)
+
+
+def test_decay_corner_optimum_is_reached():
+    # one 1e5 outlier puts the optimum at sigma_dls = R = 0, where C = 1 at every
+    # point: a stationary corner that LM approaches only geometrically
+    t = np.array([77.1, 132.7, 212.8, 488.4, 500.4, 689.6])
+    c = np.array([0.507, 1e5, 0.254, 0.823, 0.531, 0.079])
+    result = fit_coherence_decay(t, c, sigma=np.full(6, 0.02))
+    assert result.rss <= 2.4999500007256934e13  # reached by the fit in sqrt(sigma_dls), sqrt(R)
+    assert result.n_iter <= 300
 
 
 def test_decay_degenerate_inputs():

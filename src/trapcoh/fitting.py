@@ -48,6 +48,8 @@ class FitResult:
     minimized (whitened when per-point uncertainties were supplied).
     covariance (rows and columns in params order) serves error propagation
     and is not in the JSON form; n_iter counts solver evaluations (0 for fringes).
+    scaled, for the coherence decay only, is (sigma_dls, R) as DecayParams and
+    their covariance in tau = t / t_max units, and t_max.
     """
 
     model: str
@@ -56,6 +58,7 @@ class FitResult:
     rss: float
     n_iter: int
     covariance: np.ndarray | None = field(default=None, repr=False)
+    scaled: tuple | None = field(default=None, repr=False)
     converged = True  # a fit that does not converge raises instead
 
     def to_json_obj(self):
@@ -271,12 +274,14 @@ def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
     (s, v), rss, cov_sv, nfev = _levenberg_marquardt(
         fun, jac, _scaled_starts(tau, y, w), absolute,
         "coherence fit did not converge from any start")
-    scale = np.array([math.copysign(1.0, s), 2.0 * v]) / t_max  # d(sigma, R) / d(s, v)
+    tau_scale = np.array([math.copysign(1.0, s), 2.0 * v])  # d(sigma t_max, R t_max) / d(s, v)
+    scale = tau_scale / t_max  # d(sigma, R) / d(s, v)
     err = np.abs(scale) * np.sqrt(np.maximum(np.diag(cov_sv), 0.0))
     with np.errstate(over="ignore"):  # at a tiny t_max the variances exceed the float range
         cov = scale[:, None] * cov_sv * scale
     params = {"sigma_dls_rad_s": float(abs(s) / t_max), "pjr_per_s": float(v * v / t_max)}
-    return FitResult("coherence_decay", params, dict(zip(params, err.tolist())), rss, nfev, cov)
+    return FitResult("coherence_decay", params, dict(zip(params, err.tolist())), rss, nfev, cov,
+                     (DecayParams(abs(s), v * v), tau_scale[:, None] * cov_sv * tau_scale, t_max))
 
 
 def fit_exponential(t_s, survival, sigma=None) -> FitResult:
@@ -328,12 +333,15 @@ def fit_ramsey_decay(series, eta) -> FitResult:
 
 
 def _ramsey_from_decay(inner: FitResult, eta) -> FitResult:
-    """fit_ramsey_decay on an existing fit_coherence_decay result."""
+    """fit_ramsey_decay on an existing fit_coherence_decay result. The T2*
+    variance is propagated in tau = t / t_max units (inner.scaled), where
+    neither t2**2 nor the covariance leaves the float range at any time
+    scale, and scaled by t_max once at the end."""
     params = DecayParams(inner.params["sigma_dls_rad_s"], inner.params["pjr_per_s"])
     t2star = t2_time(params)
-    grad = np.array(t2_gradient(params))
-    var = float(grad @ inner.covariance @ grad)
-    t2_err = math.sqrt(max(var, 0.0))
+    tau_params, tau_cov, t_max = inner.scaled
+    grad = np.array(t2_gradient(tau_params))
+    t2_err = math.sqrt(max(float(grad @ tau_cov @ grad), 0.0)) * t_max
     temperature = temperature_from_ramsey_t2star(t2star, eta)
     return FitResult(
         model="ramsey_decay",

@@ -57,7 +57,7 @@ class NoiseSpectrum:
     (log f, log S); outside the sampled range the nearest sample is held.
     Segments with a zero-valued endpoint interpolate the PSD linearly
     against log f instead (log of zero is undefined), which preserves
-    nonnegativity.
+    nonnegativity. The log tables are built once, at construction.
     """
 
     kind: str
@@ -79,6 +79,13 @@ class NoiseSpectrum:
             raise DomainError("spectrum kind must be a non-empty string")
         object.__setattr__(self, "frequencies_hz", f)
         object.__setattr__(self, "psd", p)
+        # S in the real part and log S in the imaginary part, so that one
+        # np.interp gives both; log S is NaN at zero samples, and so on every
+        # segment with a zero endpoint
+        table = p.astype(complex)
+        table.imag = np.log(np.where(p > 0.0, p, np.nan))
+        object.__setattr__(self, "_log_f", np.log(f))
+        object.__setattr__(self, "_table", table)
 
     @classmethod
     def zero(cls, kind=SPRING_FRACTIONAL):
@@ -91,29 +98,15 @@ class NoiseSpectrum:
         return cls(kind, np.array([f_min, f_max]), np.array([level, level], dtype=float))
 
     def evaluate(self, f_hz):
-        """S(f) at the requested frequencies (Hz), held constant outside range."""
+        """S(f) at the requested frequencies (Hz), held constant outside range;
+        a numpy scalar for a scalar f_hz."""
         fq = np.asarray(f_hz, dtype=float)
-        scalar = fq.ndim == 0
-        fq = np.atleast_1d(fq)
-        if np.any(fq <= 0.0):
+        if fq.min(initial=np.inf) <= 0.0:
             raise DomainError("evaluation frequencies must be positive")
-        f, p = self.frequencies_hz, self.psd
-        if f.size == 1:
-            out = np.full(fq.shape, p[0])
-            return out[0] if scalar else out
-
-        fc = np.clip(fq, f[0], f[-1])
-        idx = np.clip(np.searchsorted(f, fc, side="right") - 1, 0, f.size - 2)
-        lf = np.log(f)
-        w = (np.log(fc) - lf[idx]) / (lf[idx + 1] - lf[idx])
-        lo, hi = p[idx], p[idx + 1]
-        both_pos = (lo > 0.0) & (hi > 0.0)
-        with np.errstate(divide="ignore"):
-            loglog = np.exp((1.0 - w) * np.log(np.where(lo > 0, lo, 1.0))
-                            + w * np.log(np.where(hi > 0, hi, 1.0)))
-        linear = (1.0 - w) * lo + w * hi
-        out = np.where(both_pos, loglog, linear)
-        return out[0] if scalar else out
+        both = np.interp(np.log(fq), self._log_f, self._table)
+        # where a zero sample ends the segment (or is held), log S is NaN and
+        # fmax takes the linear value; elsewhere the linear term is 0
+        return np.fmax(np.exp(both.imag), both.real * np.isnan(both.imag))
 
     def scaled(self, factor):
         """Same spectrum with all PSD values multiplied by factor >= 0."""

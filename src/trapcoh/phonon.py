@@ -26,11 +26,10 @@ from typing import Mapping
 
 import numpy as np
 
-from . import noise as noise_mod
 from .constants import BOLTZMANN, HBAR
 from .errors import ConfigError, DomainError
-from .noise import POSITION, SPRING_FRACTIONAL, NoiseSpectrum, psd_f_to_omega
-from .trap import AXES, FixedOccupation, ThermalOccupation, TrapConfig, thermal_moments
+from .noise import POSITION, SPRING_FRACTIONAL, TWO_PI, NoiseSpectrum, psd_f_to_omega
+from .trap import AXES, FixedOccupation, ThermalOccupation, TrapConfig
 
 
 @dataclass(frozen=True)
@@ -90,12 +89,30 @@ class TrapNoise:
     def spring_omega(self, axis, omega_rad_s):
         """S_k(omega) in angular convention at angular frequency omega."""
         spec = self._get(self._spring, axis, "spring")
-        return psd_f_to_omega(spec.evaluate(omega_rad_s / noise_mod.TWO_PI))
+        return psd_f_to_omega(spec.evaluate(omega_rad_s / TWO_PI))
 
     def position_omega(self, axis, omega_rad_s):
         """S_x(omega) in angular convention at angular frequency omega."""
         spec = self._get(self._position, axis, "position")
-        return psd_f_to_omega(spec.evaluate(omega_rad_s / noise_mod.TWO_PI))
+        return psd_f_to_omega(spec.evaluate(omega_rad_s / TWO_PI))
+
+    def axis_spectra(self, omegas):
+        """(S_k(2 omega_q), S_x(omega_q)) per axis, as 3-vectors in angular
+        convention, for the axis trap frequencies omegas (rad/s).
+
+        Each distinct spectrum is evaluated once, at every axis that shares it.
+        """
+        omegas = np.asarray(omegas, dtype=float)
+        return (self._per_axis(self._spring, "spring", 2.0 * omegas),
+                self._per_axis(self._position, "position", omegas))
+
+    def _per_axis(self, table, label, omegas):
+        specs = [self._get(table, axis, label) for axis in AXES]
+        out = np.empty(len(AXES))
+        for spec in {id(spec): spec for spec in specs}.values():
+            shared = np.array([other is spec for other in specs])
+            out[shared] = spec.evaluate(omegas[shared] / TWO_PI)
+        return psd_f_to_omega(out)
 
 
 def intensity_jump_rate(omega_rad_s, s_k_omega, n, step) -> float:
@@ -138,12 +155,9 @@ def axis_jump_rate(omega_rad_s, mass_kg, s_k_omega, s_x_omega, n) -> float:
 
 def total_jump_rate(cfg: TrapConfig, noise: TrapNoise, occ: FixedOccupation) -> AxisRates:
     """Per-axis leaving rates at fixed phonon numbers."""
-    rates = {}
-    for axis, omega, n in zip(AXES, cfg.omegas, occ.numbers):
-        s_k = noise.spring_omega(axis, 2.0 * omega)
-        s_x = noise.position_omega(axis, omega)
-        rates[axis] = axis_jump_rate(omega, cfg.species.mass_kg, s_k, s_x, int(n))
-    return AxisRates(**rates)
+    s_k, s_x = noise.axis_spectra(cfg.omegas)
+    rates = axis_jump_rate(cfg.omegas, cfg.species.mass_kg, s_k, s_x, occ.numbers)
+    return AxisRates(*rates.tolist())
 
 
 def classical_thermal_rate(cfg: TrapConfig, noise: TrapNoise, temperature_k) -> float:
@@ -163,10 +177,9 @@ def classical_thermal_rate(cfg: TrapConfig, noise: TrapNoise, temperature_k) -> 
     if not temperature_k > 0.0:
         raise DomainError("temperature must be positive")
     kt = BOLTZMANN * temperature_k
-    s_k_sum = sum(noise.spring_omega(ax, 2.0 * w) for ax, w in zip(AXES, cfg.omegas))
-    s_x_sum = sum(w ** 2 * noise.position_omega(ax, w) for ax, w in zip(AXES, cfg.omegas))
-    intensity = math.pi / (8.0 * HBAR ** 2) * (kt / 2.0) ** 2 * s_k_sum
-    pointing = math.pi / (2.0 * HBAR ** 2) * cfg.species.mass_kg * kt * s_x_sum
+    s_k, s_x = noise.axis_spectra(cfg.omegas)
+    intensity = math.pi / (8.0 * HBAR ** 2) * (kt / 2.0) ** 2 * s_k.sum()
+    pointing = math.pi / (2.0 * HBAR ** 2) * cfg.species.mass_kg * kt * (cfg.omegas ** 2 * s_x).sum()
     return intensity + pointing
 
 
@@ -174,21 +187,18 @@ def thermal_average_pjr(cfg: TrapConfig, noise: TrapNoise, dist: ThermalOccupati
     """Exact thermal average of the total jump rate (1/s).
 
     The rate is additive across axes and polynomial in each n_q, so the
-    probability-weighted sum over the product distribution reduces to
-    per-axis moments E[n] and E[n^2], which thermal_moments gives in
-    closed form (monotone in every nbar).
+    probability-weighted sum over the product distribution reduces to the
+    per-axis moments E[n] = nbar and E[n^2] = 2 nbar^2 + nbar of the
+    geometric distribution (thermal_moments), taken as 3-vectors over the
+    axes: E[(n+1)^2 - n] = E[n^2] + E[n] + 1 and E[2n + 1] = 2 E[n] + 1.
     """
-    total = 0.0
-    for axis, omega, nbar in zip(AXES, cfg.omegas, dist.means):
-        m1, m2 = thermal_moments(nbar)
-        s_k = noise.spring_omega(axis, 2.0 * omega)
-        s_x = noise.position_omega(axis, omega)
-        # E[(n+1)^2 - n] = E[n^2] + E[n] + 1, E[2n + 1] = 2 E[n] + 1
-        intensity = math.pi * omega ** 2 / 8.0 * s_k * (m2 + m1 + 1.0)
-        pointing = (math.pi / (2.0 * HBAR) * cfg.species.mass_kg * omega ** 3
-                    * s_x * (2.0 * m1 + 1.0))
-        total += intensity + pointing
-    return total
+    s_k, s_x = noise.axis_spectra(cfg.omegas)
+    omega, m1 = cfg.omegas, dist.means
+    m2 = 2.0 * m1 * m1 + m1
+    intensity = math.pi * omega ** 2 / 8.0 * s_k * (m2 + m1 + 1.0)
+    pointing = (math.pi / (2.0 * HBAR) * cfg.species.mass_kg * omega ** 3
+                * s_x * (2.0 * m1 + 1.0))
+    return (intensity + pointing).sum()
 
 
 def survival_probability(rate, t):

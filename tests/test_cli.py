@@ -184,24 +184,41 @@ def test_fit_coherence_with_underflowing_head(t_head, tmp_path, capsys):
     assert doc["rss"] == pytest.approx(29.266236124458217, rel=1e-9)
 
 
-def test_fit_coherence_on_tiny_times(tmp_path, capsys):
-    # the fit runs on t / t_max: a decay over 4e-170 s fits as the same decay over
-    # 4 s, with rates 1e170 times higher
+def fit_at_two_time_scales(tmp_path, capsys, *model_args):
+    """`fit` documents of one decay table over 4e-170 s and over 4 s."""
     docs = []
     for scale in (1e-170, 1.0):
         path = tmp_path / "decay.csv"
         io.write_csv(path, CoherenceSeries.COLUMNS, np.arange(5.0) * scale,
                      np.array([1.0, 0.9, 0.5, 0.3, 0.1]), np.full(5, 0.02))
-        assert cli.main(["fit", "--data", str(path), "--model", "coherence",
+        assert cli.main(["fit", "--data", str(path), *model_args,
                          "--outdir", str(tmp_path)]) == 0
         docs.append(json.loads(capsys.readouterr().out))
-    tiny, unit = docs
+    return docs
+
+
+def test_fit_coherence_on_tiny_times(tmp_path, capsys):
+    # the fit runs on t / t_max: a decay over 4e-170 s fits as the same decay over
+    # 4 s, with rates 1e170 times higher
+    tiny, unit = fit_at_two_time_scales(tmp_path, capsys, "--model", "coherence")
     for name in ("sigma_dls_rad_s", "pjr_per_s"):
         err = unit["uncertainties"][name] * 1e170
         assert tiny["uncertainties"][name] == pytest.approx(err, rel=1e-9)
         # R ends near 0 here, so it is compared on the scale of its uncertainty
         assert tiny["params"][name] == pytest.approx(unit["params"][name] * 1e170,
                                                      rel=1e-9, abs=1e-9 * err)
+
+
+def test_fit_ramsey_on_tiny_times(tmp_path, capsys):
+    # T2* and its error over 4e-170 s are 1e-170 times those over 4 s: the error
+    # is propagated in t / t_max units, where t2**2 and the (sigma_dls, R)
+    # covariance stay in the float range (they underflow and overflow in seconds)
+    tiny, unit = fit_at_two_time_scales(tmp_path, capsys, "--model", "ramsey",
+                                        "--eta", "1.5e-4")
+    for part in ("params", "uncertainties"):
+        assert tiny[part]["t2star_s"] == pytest.approx(unit[part]["t2star_s"] * 1e-170,
+                                                       rel=1e-9)
+    assert tiny["uncertainties"]["t2star_s"] > 0.0
 
 
 def test_fit_ramsey_cli(tmp_path):

@@ -1,5 +1,6 @@
 """Noise spectra, dBc conversions, and PSD estimation from time series."""
 
+import bisect
 import json
 import math
 import tracemalloc
@@ -111,6 +112,50 @@ def test_spectrum_vector_evaluate():
     spec = NoiseSpectrum.flat(2e-13, f_min=1.0, f_max=1e4)
     f = np.array([0.5, 1.0, 70.0, 1e6])
     assert spec.evaluate(f) == pytest.approx([2e-13] * 4, rel=1e-12)
+
+
+def loglog_reference(freqs, psd, f):
+    """(S(f), the scale of its rounding, segment kind) by NoiseSpectrum's rule in
+    pure Python. The scale of a zero-ended segment is its larger endpoint: its
+    value near the zero end is ill-conditioned in f."""
+    if f <= freqs[0] or f >= freqs[-1]:
+        value = psd[0] if f <= freqs[0] else psd[-1]
+        return value, value, "hold"
+    j = bisect.bisect_right(freqs, f) - 1
+    lo, hi = psd[j], psd[j + 1]
+    la, lb = math.log(freqs[j]), math.log(freqs[j + 1])
+    w = (math.log(f) - la) / (lb - la)
+    if lo > 0.0 and hi > 0.0:
+        value = math.exp((1.0 - w) * math.log(lo) + w * math.log(hi))
+        return value, value, "loglog"
+    return (1.0 - w) * lo + w * hi, max(lo, hi), "zero-ended"
+
+
+def test_spectrum_evaluate_matches_reference():
+    rng = np.random.default_rng(2024)
+    spectra = [NoiseSpectrum.zero()]
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        f = np.sort(rng.choice(np.logspace(-3, 6, 1000), n, replace=False))
+        p = 10.0 ** rng.uniform(-16.0, -6.0, n)
+        p[rng.random(n) < 0.3] = 0.0
+        spectra.append(NoiseSpectrum("spring_fractional", f, p))
+    kinds = set()
+    for spec in spectra:
+        f, p = spec.frequencies_hz, spec.psd
+        # every sample, one point below and one above the range, random points
+        queries = np.concatenate([f, [f[0] / 3.0, 3.0 * f[-1]],
+                                  10.0 ** rng.uniform(-4.0, 7.0, 20)])
+        for q, got in zip(queries, spec.evaluate(queries)):
+            want, scale, kind = loglog_reference(f.tolist(), p.tolist(), float(q))
+            assert abs(got - want) <= 1e-13 * scale, (f, p, q)
+            kinds.add(kind)
+            one = spec.evaluate(float(q))
+            assert isinstance(one, np.float64) and one == spec.evaluate(np.array([q]))[0]
+    assert kinds == {"hold", "loglog", "zero-ended"}
+    for bad in (0.0, -1.0, np.array([1.0, 0.0])):
+        with pytest.raises(DomainError):
+            spectra[1].evaluate(bad)
 
 
 def test_spectrum_scaled():

@@ -25,7 +25,8 @@ from trapcoh import (
     thermal_probability,
     total_jump_rate,
 )
-from trapcoh.constants import CS133_MASS, HBAR
+from trapcoh.constants import BOLTZMANN, CS133_MASS, HBAR
+from trapcoh.trap import AXES, thermal_moments
 
 OMEGA = 2.0 * math.pi * 30.3e3
 S_K = 1e-12   # fractional spring PSD, angular convention
@@ -119,6 +120,61 @@ def test_total_rate_linear_in_psd():
     two = total_jump_rate(cfg, TrapNoise.uniform(spring=spring.scaled(2.0)), occ)
     assert two.total == pytest.approx(2.0 * one.total, rel=1e-12)
     assert two.x == pytest.approx(2.0 * one.x, rel=1e-12)
+
+
+def per_axis_noise(rng, shared):
+    """A TrapNoise with its own spring and position spectrum on each axis, or
+    with x and y sharing one of each when shared."""
+    def draw(kind, low):
+        f = np.sort(rng.uniform(1e3, 3e5, 5))
+        return NoiseSpectrum(kind, f, 10.0 ** rng.uniform(low, low + 4.0, 5))
+    spring = {ax: draw("spring_fractional", -14.0) for ax in AXES}
+    position = {ax: draw("position", -26.0) for ax in AXES}
+    if shared:
+        spring["y"], position["y"] = spring["x"], position["x"]
+    return TrapNoise(spring, position)
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_batched_axis_lookup_matches_per_axis_loop(shared):
+    cfg = TrapConfig.load_preset("cs133")
+    noise = per_axis_noise(np.random.default_rng(13), shared)
+    mass = cfg.species.mass_kg
+    s_k = [noise.spring_omega(ax, 2.0 * w) for ax, w in zip(AXES, cfg.omegas)]
+    s_x = [noise.position_omega(ax, w) for ax, w in zip(AXES, cfg.omegas)]
+    numbers = (2, 5, 40)
+    rates = total_jump_rate(cfg, noise, FixedOccupation(*numbers))
+    loop = [axis_jump_rate(w, mass, k, x, n)
+            for w, k, x, n in zip(cfg.omegas, s_k, s_x, numbers)]
+    assert [rates.x, rates.y, rates.z] == pytest.approx(loop, rel=1e-14)
+
+    dist = ThermalOccupation(3.5, 0.2, 60.0)
+    expect = 0.0
+    for w, k, x, nbar in zip(cfg.omegas, s_k, s_x, dist.means):
+        m1, m2 = thermal_moments(nbar)
+        expect += (math.pi * w ** 2 / 8.0 * k * (m2 + m1 + 1.0)
+                   + math.pi / (2.0 * HBAR) * mass * w ** 3 * x * (2.0 * m1 + 1.0))
+    assert thermal_average_pjr(cfg, noise, dist) == pytest.approx(expect, rel=1e-14)
+
+    kt = BOLTZMANN * 2e-5
+    classical = (math.pi / (8.0 * HBAR ** 2) * (kt / 2.0) ** 2 * sum(s_k)
+                 + math.pi / (2.0 * HBAR ** 2) * mass * kt
+                 * sum(w ** 2 * x for w, x in zip(cfg.omegas, s_x)))
+    assert classical_thermal_rate(cfg, noise, 2e-5) == pytest.approx(classical, rel=1e-14)
+
+
+def test_batched_axis_lookup_missing_axis():
+    cfg = TrapConfig.load_preset("cs133")
+    spring = NoiseSpectrum.flat(1e-12)
+    position = NoiseSpectrum.flat(1e-25, kind="position")
+    for noise in (TrapNoise({"x": spring, "y": spring}, {ax: position for ax in AXES}),
+                  TrapNoise({ax: spring for ax in AXES}, {"x": position, "z": position})):
+        for rate in (lambda: total_jump_rate(cfg, noise, FixedOccupation(0, 0, 0)),
+                     lambda: thermal_average_pjr(cfg, noise, ThermalOccupation(1.0, 1.0, 1.0)),
+                     lambda: classical_thermal_rate(cfg, noise, 1e-5)):
+            with pytest.raises(ConfigError) as err:
+                rate()
+            assert err.value.kind == "missing_spectrum"
 
 
 def test_classical_rates_at_table_inputs():

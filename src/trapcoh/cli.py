@@ -3,8 +3,9 @@
 Subcommands: simulate | fit | psd | filter | estimate-rates | report.
 Every command prints exactly one JSON document (keys sorted) to stdout;
 logs and error reports go to stderr. Exit codes: 0 success, 2
-configuration or parse error, 3 numerical failure. Outputs embed the
-seed, the tool version, and SHA-256 digests of every input file read.
+configuration or parse error, 3 numerical failure or out of memory.
+Outputs embed the seed, the tool version, and SHA-256 digests of every
+input file read.
 Values from a config file are defaults; command-line flags override
 them. The default output directory is taken from the TRAPCOH_OUTDIR
 environment variable when set. Each command computes first; main
@@ -346,10 +347,12 @@ def main(argv=None) -> int:
         text = io.dumps(doc)
         for name, content in files.values():
             io.write_text(out / name, content)
-    except (TrapcohError, ArithmeticError) as exc:
-        # float overflow or division by zero: the result would be inf or NaN
-        if isinstance(exc, ArithmeticError):
-            exc = TrapcohError(f"{type(exc).__name__}: {exc}", kind="non_finite")
+    except (TrapcohError, ArithmeticError, MemoryError) as exc:
+        # float overflow or division by zero: the result would be inf or NaN;
+        # an array larger than the host can allocate is out_of_memory
+        if not isinstance(exc, TrapcohError):
+            kind = "out_of_memory" if isinstance(exc, MemoryError) else "non_finite"
+            exc = TrapcohError(f"{type(exc).__name__}: {exc}", kind=kind)
         json.dump({"error": {"kind": exc.kind, "message": str(exc)}},
                   sys.stderr, sort_keys=True)
         sys.stderr.write("\n")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .constants import BOLTZMANN, HBAR
+from .constants import _BLOCK_ELEMENTS, BOLTZMANN, HBAR
 from .errors import DomainError, TrapcohError
 
 #: calibration factor of the Ramsey-contrast thermometry relation
@@ -225,7 +225,9 @@ def analytic_series(params: DecayParams, times) -> CoherenceSeries:
     return CoherenceSeries(times, c, np.zeros_like(c))
 
 
-_MC_CHUNK = 65536  # trajectories per accumulation block, fixed for determinism
+#: trajectories drawn at once; the sums are added up over groups of this many
+#: trajectories, so the grouping, and with it the bytes of the result, is fixed
+_MC_CHUNK = 65536
 
 
 def gaussian_channel_mc(sigma_dls, n_traj, seed, times) -> CoherenceSeries:
@@ -234,27 +236,41 @@ def gaussian_channel_mc(sigma_dls, n_traj, seed, times) -> CoherenceSeries:
     Each trajectory draws a frozen detuning from N(0, sigma_dls); the
     ensemble mean of cos(delta * t) estimates exp(-sigma**2 t**2 / 2).
     The per-point sigma is the standard error of that mean. Bit-identical
-    for identical (seed, n_traj, times).
+    for identical (seed, n_traj, times). The cosines are computed for a
+    block of trajectories at a time, _BLOCK_ELEMENTS values per block.
     """
-    if sigma_dls < 0.0:
-        raise DomainError("sigma must be nonnegative")
-    if n_traj < 2:
+    # written so that NaN fails the comparisons as well
+    if not 0.0 <= sigma_dls < math.inf:
+        raise DomainError("sigma must be finite and nonnegative")
+    if not n_traj >= 2:
         raise DomainError("need at least two trajectories")
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise DomainError("times must be nonnegative")
+    if not np.all((times >= 0.0) & (times < math.inf)):
+        raise DomainError("times must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     n_traj = int(n_traj)
+    rows = max(1, _BLOCK_ELEMENTS // max(times.size, 1))
+    cosines = np.empty((min(rows, _MC_CHUNK, n_traj), times.size))
+    squares = np.empty_like(cosines)
     total = np.zeros(times.size)
     total_sq = np.zeros(times.size)
-    done = 0
-    while done < n_traj:
-        block = min(_MC_CHUNK, n_traj - done)
-        deltas = rng.normal(0.0, sigma_dls, size=block) if sigma_dls > 0.0 else np.zeros(block)
-        phases = np.cos(np.outer(deltas, times))
-        total += phases.sum(axis=0)
-        total_sq += (phases * phases).sum(axis=0)
-        done += block
+    for done in range(0, n_traj, _MC_CHUNK):
+        chunk = min(_MC_CHUNK, n_traj - done)
+        deltas = rng.normal(0.0, sigma_dls, size=chunk) if sigma_dls > 0.0 else np.zeros(chunk)
+        part, part_sq = np.zeros(times.size), np.zeros(times.size)
+        for lo in range(0, chunk, rows):
+            d = deltas[lo:lo + rows, None]
+            cos, sq = cosines[:d.size], squares[:d.size]
+            np.cos(np.multiply(d, times.ravel(), out=cos), out=cos)
+            np.multiply(cos, cos, out=sq)
+            # numpy sums a C-contiguous array over axis 0 row by row, in order, so
+            # the carried partial sum in the first row gives the bytes of one sum
+            # over the whole chunk
+            cos[0] += part
+            sq[0] += part_sq
+            part, part_sq = cos.sum(axis=0), sq.sum(axis=0)
+        total += part
+        total_sq += part_sq
     mean = total / n_traj
     var = np.maximum(total_sq / n_traj - mean ** 2, 0.0)
     sem = np.sqrt(var / n_traj)

@@ -1,4 +1,5 @@
-"""Physical constants (CODATA 2018, SI) and cesium atomic data.
+"""Physical constants (CODATA 2018, SI), cesium atomic data and the block size
+of the bulk numerical kernels.
 
 Values are embedded as literals, 12 significant digits where the constant
 is not exact, so results do not drift with library upgrades.
@@ -26,3 +27,8 @@ CS_D2_LINEWIDTH = 2.0 * math.pi * 5.2227e6   # rad/s
 # light shift (D2 twice D1 for alkali atoms)
 D2_WEIGHT = 2.0 / 3.0
 D1_WEIGHT = 1.0 / 3.0
+
+# numerical: float64 elements in one temporary of the blocked kernels (Monte-Carlo,
+# Welch, filter function), 512 kB, so that their working set stays in cache at
+# any input size; package-private
+_BLOCK_ELEMENTS = 1 << 16

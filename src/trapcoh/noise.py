@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
+from .constants import _BLOCK_ELEMENTS
 from .errors import DomainError
 
 TWO_PI = 2.0 * np.pi
@@ -22,7 +23,9 @@ SPRING_FRACTIONAL = "spring_fractional"
 #: trap-center position noise, units m^2/Hz
 POSITION = "position"
 
-#: segments that estimate_psd transforms at once; bounds its memory at any overlap
+#: segments whose power estimate_psd adds up before adding it to the total; this
+#: fixes the grouping of the sum, and with it the bytes of the result. Memory is
+#: bounded by the blocks of _BLOCK_ELEMENTS samples it transforms at a time.
 WELCH_BLOCK = 256
 
 
@@ -206,14 +209,26 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
     if mean <= 0.0:
         raise DomainError("PSD of fractional fluctuations needs a positive mean")
     fs = series.sample_rate_hz
-    segments = np.lib.stride_tricks.sliding_window_view(
-        series.samples / mean - 1.0, segment_length)[::step]
+    n_seg = (n - segment_length) // step + 1
+    rows = max(1, _BLOCK_ELEMENTS // segment_length)
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(segment_length) / segment_length)
     power = np.zeros(segment_length // 2 + 1)
-    for seg in np.split(segments, range(WELCH_BLOCK, len(segments), WELCH_BLOCK)):
-        spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
-        power += (spectra.real ** 2 + spectra.imag ** 2).sum(axis=0)
-    pxx = power / len(segments) * (2.0 / (fs * window @ window))
+    for group in range(0, n_seg, WELCH_BLOCK):
+        end = min(group + WELCH_BLOCK, n_seg)
+        part = np.zeros_like(power)
+        for lo in range(group, end, rows):
+            hi = min(lo + rows, end)
+            # normalized per block, so no full copy of the trace is made
+            x = series.samples[lo * step:(hi - 1) * step + segment_length] / mean - 1.0
+            seg = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::step]
+            spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
+            p = spectra.real ** 2 + spectra.imag ** 2
+            # numpy sums over axis 0 row by row, in order: carrying the partial sum
+            # in the first row gives the bytes of one sum over the group
+            p[0] += part
+            part = p.sum(axis=0)
+        power += part
+    pxx = power / n_seg * (2.0 / (fs * window @ window))
     if segment_length % 2 == 0:
         pxx[-1] /= 2.0
     f = np.fft.rfftfreq(segment_length, 1.0 / fs)

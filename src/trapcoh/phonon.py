@@ -26,7 +26,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .constants import BOLTZMANN, HBAR
+from .constants import _BLOCK_ELEMENTS, BOLTZMANN, HBAR
 from .errors import ConfigError, DomainError
 from .noise import POSITION, SPRING_FRACTIONAL, TWO_PI, NoiseSpectrum, psd_f_to_omega
 from .trap import AXES, FixedOccupation, ThermalOccupation, TrapConfig
@@ -214,19 +214,24 @@ def survival_probability(rate, t):
 def first_jump_survival_mc(rate, n_traj, seed, times) -> np.ndarray:
     """Monte-Carlo fraction of trajectories with no jump before each time.
 
-    Draws one exponential waiting time per trajectory; deterministic and
+    Draws one exponential waiting time per trajectory, _BLOCK_ELEMENTS at a
+    time, and counts the jumps before each time; deterministic and
     bit-identical for identical (seed, n_traj, times).
     """
-    if rate < 0.0:
-        raise DomainError("rate must be nonnegative")
-    if n_traj < 1:
+    # written so that NaN fails the comparisons as well
+    if not 0.0 <= rate < math.inf:
+        raise DomainError("rate must be finite and nonnegative")
+    if not n_traj >= 1:
         raise DomainError("need at least one trajectory")
     times = np.asarray(times, dtype=float)
-    if np.any(times < 0.0):
-        raise DomainError("times must be nonnegative")
+    if not np.all((times >= 0.0) & (times < math.inf)):
+        raise DomainError("times must be finite and nonnegative")
     if rate == 0.0:
         return np.ones(times.shape)
     rng = np.random.default_rng(seed)
-    jumps = np.sort(rng.exponential(1.0 / rate, size=int(n_traj)))
-    jumped = np.searchsorted(jumps, times, side="right")
+    n_traj = int(n_traj)
+    jumped = np.zeros(times.shape, dtype=np.intp)
+    for done in range(0, n_traj, _BLOCK_ELEMENTS):
+        jumps = np.sort(rng.exponential(1.0 / rate, size=min(_BLOCK_ELEMENTS, n_traj - done)))
+        jumped += np.searchsorted(jumps, times, side="right")
     return 1.0 - jumped / float(n_traj)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import io
 from .coherence import DecayParams, coherence
+from .constants import _BLOCK_ELEMENTS
 from .errors import DomainError
 from .noise import NoiseSpectrum
 
@@ -110,10 +111,17 @@ def filter_function(seq: PulseSequence, f_hz):
         out[zero] = static ** 2
     nz = ~zero
     if np.any(nz):
-        w = omega[nz][:, None]
-        phases = np.exp(1j * w * edges[None, :])
-        amp = np.sum(signs[None, :] * np.diff(phases, axis=1), axis=1)
-        out[nz] = np.abs(amp) ** 2 / (omega[nz] * t_tot) ** 2
+        # rows are independent, so blocks of frequencies bound the (frequency x
+        # edge) temporaries without changing a byte
+        w = omega[nz]
+        values = np.empty(w.size)
+        rows = max(1, _BLOCK_ELEMENTS // edges.size)
+        for lo in range(0, w.size, rows):
+            wb = w[lo:lo + rows]
+            phases = np.exp(1j * wb[:, None] * edges[None, :])
+            amp = np.sum(signs[None, :] * np.diff(phases, axis=1), axis=1)
+            values[lo:lo + rows] = np.abs(amp) ** 2 / (wb * t_tot) ** 2
+        out[nz] = values
     return float(out[0]) if scalar else out
 
 

@@ -373,6 +373,21 @@ def test_report_failing_rows_exit_3_with_files(tmp_path, monkeypatch, capsys, ca
     assert "report has failing rows" in caplog.text
 
 
+def test_memory_error_is_out_of_memory_exit_3(tmp_path, monkeypatch, capsys):
+    """An array the host cannot allocate (numpy's _ArrayMemoryError is a
+    MemoryError) is one JSON error and exit 3, with no traceback and no file."""
+    def refuse(args):
+        raise MemoryError("Unable to allocate 97.7 GiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_simulate", refuse)
+    assert cli.main(["simulate", "--outdir", str(tmp_path)]) == 3
+    out, err = capsys.readouterr()
+    error = assert_error_only(out, err)
+    assert error["kind"] == "out_of_memory"
+    assert "97.7 GiB" in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_estimate_rates_hot_atom(capsys):
     # 20 mK puts 1.6e6 phonons on the cs133 z axis: the closed-form thermal
     # moments have no level ceiling

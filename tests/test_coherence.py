@@ -1,6 +1,7 @@
 """Two-channel decay model, coherence times, thermometry, scattering limit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -259,6 +260,62 @@ def test_gaussian_mc_zero_width():
     t = np.linspace(0.0, 0.5, 5)
     mc = gaussian_channel_mc(0.0, 100, 0, t)
     assert np.array_equal(mc.coherence, np.ones(5))
+
+
+def unblocked_gaussian_mc(sigma, n_traj, seed, times):
+    """The kernel as one (trajectory x time) array per group of 65536 draws,
+    its sums added up group by group: the bytes the blocked kernel keeps."""
+    rng = np.random.default_rng(seed)
+    total, total_sq = np.zeros(times.size), np.zeros(times.size)
+    for done in range(0, n_traj, 65536):
+        phases = np.cos(np.outer(rng.normal(0.0, sigma, size=min(65536, n_traj - done)),
+                                 times))
+        total += phases.sum(axis=0)
+        total_sq += (phases * phases).sum(axis=0)
+    mean = total / n_traj
+    sem = np.sqrt(np.maximum(total_sq / n_traj - mean ** 2, 0.0) / n_traj)
+    return np.clip(mean, -0.05, 1.05), sem
+
+
+@pytest.mark.parametrize("n_traj,n_times", [
+    (65536 + 4500, 81),   # blocks of 809 trajectories, two groups of draws
+    (50, 70_000),         # more times than one block holds: one trajectory a block
+    (70_000, 1),          # one block a group
+])
+def test_gaussian_mc_blocks_keep_the_bytes(n_traj, n_times):
+    times = np.linspace(0.0, 0.3, n_times)
+    mc = gaussian_channel_mc(12.0, n_traj, 9, times)
+    mean, sem = unblocked_gaussian_mc(12.0, n_traj, 9, times)
+    assert np.array_equal(mc.coherence, mean)
+    assert np.array_equal(mc.sigma, sem)
+
+
+def test_gaussian_mc_memory_bounded():
+    # 20,000 trajectories x 400 times: 64 MB for each whole-array temporary
+    times = np.linspace(0.0, 0.3, 400)
+    tracemalloc.start()
+    try:
+        gaussian_channel_mc(12.0, 20_000, 1, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("sigma,n_traj,times", [
+    (math.nan, 100, [0.0, 1.0]),
+    (math.inf, 100, [0.0, 1.0]),
+    (-1.0, 100, [0.0, 1.0]),
+    (1.0, 100, [0.0, math.nan]),
+    (1.0, 100, [0.0, math.inf]),
+    (1.0, 100, [-1.0, 0.0]),
+    (1.0, math.nan, [0.0, 1.0]),
+    (1.0, 1, [0.0, 1.0]),
+])
+def test_gaussian_mc_domain(sigma, n_traj, times):
+    # NaN once passed the sign check and gave C = 1 with sem 0
+    with pytest.raises(DomainError):
+        gaussian_channel_mc(sigma, n_traj, 1, times)
 
 
 def test_series_validation():

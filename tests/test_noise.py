@@ -336,6 +336,47 @@ def test_estimate_psd_memory_bounded_at_high_overlap():
     assert peak < 32e6
 
 
+def unblocked_welch(samples, fs, length, overlap):
+    """The Welch sum over one (segment x sample) array per group of 256 segments,
+    the groups added up in turn: the bytes the blocked estimate_psd keeps."""
+    step = length - round(overlap * length)
+    segments = np.lib.stride_tricks.sliding_window_view(
+        samples / samples.mean() - 1.0, length)[::step]
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    power = np.zeros(length // 2 + 1)
+    for seg in np.split(segments, range(256, len(segments), 256)):
+        spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
+        power += (spectra.real ** 2 + spectra.imag ** 2).sum(axis=0)
+    pxx = power / len(segments) * (2.0 / (fs * window @ window))
+    if length % 2 == 0:
+        pxx[-1] /= 2.0
+    return pxx[1:]
+
+
+@pytest.mark.parametrize("length,overlap,n", [
+    (1024, 0.5, 300_000),       # 585 segments: three groups of blocks of 64
+    (2000, 0.9, 120_000),       # 591 segments, blocks of 32
+    (65_537, 0.5, 360_000),     # longer than one block: one segment a block
+    (8, 0.0, 5_000),            # one block a group
+])
+def test_estimate_psd_blocks_keep_the_bytes(length, overlap, n):
+    samples = 1.0 + 0.01 * np.random.default_rng(length).standard_normal(n)
+    psd = estimate_psd(TimeSeries(1e4, samples), length, overlap)
+    assert np.array_equal(psd.psd, unblocked_welch(samples, 1e4, length, overlap))
+
+
+def test_estimate_psd_memory_bounded_for_long_segments():
+    # 206 segments of 2^16 samples: 108 MB for each whole-array temporary
+    series = TimeSeries(1e4, 1.0 + 0.01 * np.random.default_rng(6).standard_normal(200_000))
+    tracemalloc.start()
+    try:
+        estimate_psd(series, segment_length=2 ** 16, overlap=0.99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_estimate_psd_kind_label():
     rng = np.random.default_rng(11)
     series = TimeSeries(1e3, 1.0 + 0.01 * rng.standard_normal(1024))

@@ -1,6 +1,7 @@
 """Phonon jumping rates: single transitions, axis totals, thermal estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -274,3 +275,37 @@ def test_first_jump_mc_zero_rate():
     assert np.array_equal(first_jump_survival_mc(0.0, 100, 0, t), np.ones(5))
     with pytest.raises(DomainError):
         first_jump_survival_mc(1.0, 0, 0, t)
+
+
+def test_first_jump_mc_blocks_keep_the_bytes():
+    # 150,000 draws are three blocks; the jump counts add up exactly
+    t = np.linspace(0.0, 1.5, 81)
+    jumps = np.sort(np.random.default_rng(4).exponential(1.0 / 2.5, size=150_000))
+    want = 1.0 - np.searchsorted(jumps, t, side="right") / 150_000.0
+    assert np.array_equal(first_jump_survival_mc(2.5, 150_000, 4, t), want)
+
+
+def test_first_jump_mc_memory_bounded():
+    # 2,000,000 waiting times and their sorted copy: 32 MB as whole arrays
+    t = np.linspace(0.0, 1.5, 81)
+    tracemalloc.start()
+    try:
+        first_jump_survival_mc(2.5, 2_000_000, 4, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("rate,n_traj,times", [
+    (math.nan, 100, [0.0, 1.0]),     # once all ones
+    (math.inf, 100, [0.0, 1.0]),
+    (-1.0, 100, [0.0, 1.0]),
+    (1.0, 100, [0.0, math.nan]),     # once a survival of 0 at the NaN time
+    (1.0, 100, [0.0, math.inf]),
+    (1.0, 100, [-1.0, 0.0]),
+    (1.0, math.nan, [0.0, 1.0]),
+])
+def test_first_jump_mc_domain(rate, n_traj, times):
+    with pytest.raises(DomainError):
+        first_jump_survival_mc(rate, n_traj, 1, times)

@@ -83,6 +83,8 @@ def cmd_simulate(args):
     inputs = {}
     if args.points < 1:
         raise DomainError("need at least one time point")
+    if not np.isfinite(args.t_max):
+        raise DomainError("grid end time must be finite")
     cfg = _load(TrapConfig, args.config, inputs)
     noise = _trap_noise(args, inputs)
 
@@ -178,12 +180,6 @@ def cmd_psd(args):
 
 
 def _build_sequence(args, inputs) -> PulseSequence:
-    chosen = [name for name, val in [("--ramsey", args.ramsey), ("--echo", args.echo),
-                                     ("--cpmg", args.cpmg), ("--sequence", args.sequence)]
-              if val is not None]
-    if len(chosen) != 1:
-        raise ConfigError("give exactly one of --ramsey, --echo, --cpmg, --sequence",
-                          kind="parse_error")
     if args.ramsey is not None:
         return ramsey(args.ramsey)
     if args.echo is not None:
@@ -260,8 +256,16 @@ def cmd_report(args):
                  "json": ("report.json", io.dumps(doc))}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as one JSON parse_error, as every other
+    bad input is; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}", kind="parse_error")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="trapcoh",
         description="Coherence model of an optically trapped single-atom qubit.")
     parser.add_argument("--version", action="version", version=__version__)
@@ -304,13 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     psd.set_defaults(func=cmd_psd)
 
     filt = sub.add_parser("filter", help="sequence filter function, optional sigma_eff")
-    filt.add_argument("--ramsey", type=float, metavar="T_TOTAL",
-                      help="free precession of this length (s)")
-    filt.add_argument("--echo", type=float, metavar="T_TOTAL",
-                      help="single refocusing pulse, total time (s)")
-    filt.add_argument("--cpmg", type=int, metavar="N", help="N-pulse train")
+    chosen = filt.add_mutually_exclusive_group(required=True)
+    chosen.add_argument("--ramsey", type=float, metavar="T_TOTAL",
+                        help="free precession of this length (s)")
+    chosen.add_argument("--echo", type=float, metavar="T_TOTAL",
+                        help="single refocusing pulse, total time (s)")
+    chosen.add_argument("--cpmg", type=int, metavar="N", help="N-pulse train")
+    chosen.add_argument("--sequence", help="pulse sequence JSON path")
     filt.add_argument("--interval", type=float, help="pulse interval for --cpmg (s)")
-    filt.add_argument("--sequence", help="pulse sequence JSON path")
     filt.add_argument("--f-min", type=float, default=1e-4)
     filt.add_argument("--f-max", type=float, default=1e3)
     filt.add_argument("--points", type=int, default=2000)
@@ -336,8 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        # --help and --version exit here; any other bad command line is a parse_error
+        args = build_parser().parse_args(argv)
         # numpy raises FloatingPointError, an ArithmeticError: non_finite below
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             doc, files = args.func(args)

@@ -225,19 +225,16 @@ def analytic_series(params: DecayParams, times) -> CoherenceSeries:
     return CoherenceSeries(times, c, np.zeros_like(c))
 
 
-#: trajectories drawn at once; the sums are added up over groups of this many
-#: trajectories, so the grouping, and with it the bytes of the result, is fixed
-_MC_CHUNK = 65536
-
-
 def gaussian_channel_mc(sigma_dls, n_traj, seed, times) -> CoherenceSeries:
     """Monte-Carlo Gaussian dephasing channel.
 
     Each trajectory draws a frozen detuning from N(0, sigma_dls); the
     ensemble mean of cos(delta * t) estimates exp(-sigma**2 t**2 / 2).
     The per-point sigma is the standard error of that mean. Bit-identical
-    for identical (seed, n_traj, times). The cosines are computed for a
-    block of trajectories at a time, _BLOCK_ELEMENTS values per block.
+    for identical (seed, n_traj, times). Draws and sums blocks of _BLOCK_ELEMENTS
+    values; with two or more times the sums equal the one-array form
+    np.cos(np.outer(deltas, times)).sum(axis=0) bit for bit at every n_traj
+    (numpy sums a lone column pairwise: with one time, up to one block).
     """
     # written so that NaN fails the comparisons as well
     if not 0.0 <= sigma_dls < math.inf:
@@ -250,27 +247,19 @@ def gaussian_channel_mc(sigma_dls, n_traj, seed, times) -> CoherenceSeries:
     rng = np.random.default_rng(seed)
     n_traj = int(n_traj)
     rows = max(1, _BLOCK_ELEMENTS // max(times.size, 1))
-    cosines = np.empty((min(rows, _MC_CHUNK, n_traj), times.size))
-    squares = np.empty_like(cosines)
-    total = np.zeros(times.size)
-    total_sq = np.zeros(times.size)
-    for done in range(0, n_traj, _MC_CHUNK):
-        chunk = min(_MC_CHUNK, n_traj - done)
-        deltas = rng.normal(0.0, sigma_dls, size=chunk) if sigma_dls > 0.0 else np.zeros(chunk)
-        part, part_sq = np.zeros(times.size), np.zeros(times.size)
-        for lo in range(0, chunk, rows):
-            d = deltas[lo:lo + rows, None]
-            cos, sq = cosines[:d.size], squares[:d.size]
-            np.cos(np.multiply(d, times.ravel(), out=cos), out=cos)
-            np.multiply(cos, cos, out=sq)
-            # numpy sums a C-contiguous array over axis 0 row by row, in order, so
-            # the carried partial sum in the first row gives the bytes of one sum
-            # over the whole chunk
-            cos[0] += part
-            sq[0] += part_sq
-            part, part_sq = cos.sum(axis=0), sq.sum(axis=0)
-        total += part
-        total_sq += part_sq
+    cosines, squares = np.empty((2, min(rows, n_traj), times.size))
+    total = total_sq = np.zeros(times.size)
+    for lo in range(0, n_traj, rows):
+        # the generator's stream does not depend on how the draws are split
+        d = rng.normal(0.0, sigma_dls, size=(min(rows, n_traj - lo), 1))
+        cos, sq = cosines[:d.size], squares[:d.size]
+        np.cos(np.multiply(d, times.ravel(), out=cos), out=cos)
+        np.multiply(cos, cos, out=sq)
+        # numpy sums over axis 0 row by row, in order: carrying the partial sum
+        # in the first row gives the bytes of one sum over all trajectories
+        cos[0] += total
+        sq[0] += total_sq
+        total, total_sq = cos.sum(axis=0), sq.sum(axis=0)
     mean = total / n_traj
     var = np.maximum(total_sq / n_traj - mean ** 2, 0.0)
     sem = np.sqrt(var / n_traj)

@@ -238,7 +238,9 @@ def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
     """
     if isinstance(series, CoherenceSeries):
         t, y = series.t_s, series.coherence
-        if sigma is None and np.all(series.sigma > 0.0):
+        # an all-zero sigma (analytic_series) fits unweighted; any positive
+        # cell makes the column the weights, each of which _weights checks
+        if sigma is None and np.any(series.sigma > 0.0):
             sigma = series.sigma
     else:
         t = np.asarray(series, dtype=float)

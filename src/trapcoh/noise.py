@@ -23,11 +23,6 @@ SPRING_FRACTIONAL = "spring_fractional"
 #: trap-center position noise, units m^2/Hz
 POSITION = "position"
 
-#: segments whose power estimate_psd adds up before adding it to the total; this
-#: fixes the grouping of the sum, and with it the bytes of the result. Memory is
-#: bounded by the blocks of _BLOCK_ELEMENTS samples it transforms at a time.
-WELCH_BLOCK = 256
-
 
 def psd_f_to_omega(value):
     """One-sided PSD per Hz -> per (rad/s): S(omega) = S(f) / (2 pi).
@@ -193,7 +188,8 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
     periodic Hann window w applied, averaged |rfft|^2 scaled to a one-sided
     density by 2 / (fs sum w^2) (Heinzel, Ruediger & Schilling, "Spectrum
     and spectral density estimation by the DFT", 2002); the Nyquist bin of
-    an even segment is not doubled.
+    an even segment is not doubled. Blocks of _BLOCK_ELEMENTS samples sum to
+    the bytes of the one-array form at any number of segments.
     """
     n = series.samples.size
     segment_length = int(segment_length)
@@ -213,21 +209,17 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
     rows = max(1, _BLOCK_ELEMENTS // segment_length)
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(segment_length) / segment_length)
     power = np.zeros(segment_length // 2 + 1)
-    for group in range(0, n_seg, WELCH_BLOCK):
-        end = min(group + WELCH_BLOCK, n_seg)
-        part = np.zeros_like(power)
-        for lo in range(group, end, rows):
-            hi = min(lo + rows, end)
-            # normalized per block, so no full copy of the trace is made
-            x = series.samples[lo * step:(hi - 1) * step + segment_length] / mean - 1.0
-            seg = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::step]
-            spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
-            p = spectra.real ** 2 + spectra.imag ** 2
-            # numpy sums over axis 0 row by row, in order: carrying the partial sum
-            # in the first row gives the bytes of one sum over the group
-            p[0] += part
-            part = p.sum(axis=0)
-        power += part
+    for lo in range(0, n_seg, rows):
+        hi = min(lo + rows, n_seg)
+        # normalized per block, so no full copy of the trace is made
+        x = series.samples[lo * step:(hi - 1) * step + segment_length] / mean - 1.0
+        seg = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::step]
+        spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
+        p = spectra.real ** 2 + spectra.imag ** 2
+        # numpy sums over axis 0 row by row, in order: carrying the partial sum
+        # in the first row gives the bytes of one sum over all segments
+        p[0] += power
+        power = p.sum(axis=0)
     pxx = power / n_seg * (2.0 / (fs * window @ window))
     if segment_length % 2 == 0:
         pxx[-1] /= 2.0

@@ -426,6 +426,9 @@ BAD_INPUTS = {
     "filter_missing_sequence": ["filter", "--sequence", "missing.json"],
     "fit_nan_cell": ["fit", "--data", "nan_decay.csv", "--model", "coherence"],
     "fit_fringe_nan_cell": ["fit", "--data", "nan_fringe.csv", "--model", "fringe"],
+    # a zero sigma among positive ones is refused, not an unweighted fit
+    "fit_zero_sigma_cell": ["fit", "--data", "zero_sigma_decay.csv", "--model", "ramsey",
+                            "--eta", "1e-3"],
     "fit_data_directory": ["fit", "--data", ".", "--model", "coherence"],
     "estimate_rates_config_directory": ["estimate-rates", "--config", ".",
                                         "--occupation", "0,0,0"],
@@ -444,10 +447,21 @@ BAD_INPUTS = {
     "psd_inf_cell": ["psd", "--data", "inf_trace.csv", "--segment-length", "8"],
     "psd_nan_cell": ["psd", "--data", "nan_trace.csv", "--segment-length", "8"],
     "psd_no_header": ["psd", "--data", "headerless_trace.csv", "--segment-length", "8"],
+    # np.linspace(0, inf) is NaN: bad input, not a numerical failure
+    "simulate_t_max_inf": ["simulate", "--t-max", "inf", "--n-traj", "100", "--points", "3"],
+    # command lines argparse refuses
+    "simulate_n_traj_not_int": ["simulate", "--n-traj", "abc"],
+    "filter_two_sequences": ["filter", "--ramsey", "1.0", "--echo", "1.0"],
+    "filter_no_sequence": ["filter", "--points", "3"],
+    "simulate_occupation_and_temperature": ["simulate", "--occupation", "0,0,0",
+                                            "--temperature", "1e-6"],
+    "unknown_subcommand": ["frobnicate"],
 }
-#: bad inputs whose content the one CSV reader refuses
+#: bad inputs whose content the one CSV reader, or argparse, refuses
 PARSE_ERRORS = {"fit_nan_cell", "fit_fringe_nan_cell", "psd_inf_cell", "psd_nan_cell",
-                "psd_no_header"}
+                "psd_no_header", "simulate_n_traj_not_int", "filter_two_sequences",
+                "filter_no_sequence", "simulate_occupation_and_temperature",
+                "unknown_subcommand"}
 
 
 def assert_error_only(out, err):
@@ -471,6 +485,8 @@ def test_bad_input_exit_2(name, argv, tmp_path, monkeypatch, capsys):
     # enough points to reach the optimizer, which fails on a NaN residual
     t = np.linspace(0.0, 0.16, 8)
     decay = np.exp(-0.5 * (15.0 * t) ** 2 - 5.14 * t)
+    write_cells(tmp_path / "zero_sigma_decay.csv", CoherenceSeries.COLUMNS, t, decay,
+                np.where(np.arange(8) == 2, 0.0, 0.01))
     decay[3] = math.nan
     write_cells(tmp_path / "nan_decay.csv", CoherenceSeries.COLUMNS, t, decay, np.full(8, 0.01))
     phases = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
@@ -490,6 +506,15 @@ def test_bad_input_exit_2(name, argv, tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == inputs
     if name in PARSE_ERRORS:
         assert error["kind"] == "parse_error"
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([flag])
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.strip() and err == ""
 
 
 NON_FINITE = {

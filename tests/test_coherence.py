@@ -257,37 +257,46 @@ def test_gaussian_mc_tracks_analytic():
 
 
 def test_gaussian_mc_zero_width():
+    # normal draws of scale 0 are +-0, whose cosines are exactly 1
     t = np.linspace(0.0, 0.5, 5)
-    mc = gaussian_channel_mc(0.0, 100, 0, t)
+    mc = gaussian_channel_mc(0.0, 100_000, 0, t)
     assert np.array_equal(mc.coherence, np.ones(5))
+    assert np.array_equal(mc.sigma, np.zeros(5))
 
 
-def unblocked_gaussian_mc(sigma, n_traj, seed, times):
-    """The kernel as one (trajectory x time) array per group of 65536 draws,
-    its sums added up group by group: the bytes the blocked kernel keeps."""
-    rng = np.random.default_rng(seed)
-    total, total_sq = np.zeros(times.size), np.zeros(times.size)
-    for done in range(0, n_traj, 65536):
-        phases = np.cos(np.outer(rng.normal(0.0, sigma, size=min(65536, n_traj - done)),
-                                 times))
-        total += phases.sum(axis=0)
-        total_sq += (phases * phases).sum(axis=0)
-    mean = total / n_traj
-    sem = np.sqrt(np.maximum(total_sq / n_traj - mean ** 2, 0.0) / n_traj)
+def one_array_gaussian_mc(sigma, n_traj, seed, times):
+    """The kernel as one (trajectory x time) array: the bytes the blocked kernel keeps."""
+    phases = np.cos(np.outer(np.random.default_rng(seed).normal(0.0, sigma, size=n_traj),
+                             times))
+    mean = phases.sum(axis=0) / n_traj
+    sem = np.sqrt(np.maximum((phases * phases).sum(axis=0) / n_traj - mean ** 2, 0.0)
+                  / n_traj)
     return np.clip(mean, -0.05, 1.05), sem
 
 
 @pytest.mark.parametrize("n_traj,n_times", [
-    (65536 + 4500, 81),   # blocks of 809 trajectories, two groups of draws
+    (65536 + 4500, 81),   # 87 blocks of 809 trajectories, past 65,536 draws
+    (100_000, 2),         # the report's shape: four blocks of 32,768
     (50, 70_000),         # more times than one block holds: one trajectory a block
-    (70_000, 1),          # one block a group
+    (70_000, 1),          # t = 0 alone: two blocks of cosines that are all 1
 ])
 def test_gaussian_mc_blocks_keep_the_bytes(n_traj, n_times):
     times = np.linspace(0.0, 0.3, n_times)
     mc = gaussian_channel_mc(12.0, n_traj, 9, times)
-    mean, sem = unblocked_gaussian_mc(12.0, n_traj, 9, times)
+    mean, sem = one_array_gaussian_mc(12.0, n_traj, 9, times)
     assert np.array_equal(mc.coherence, mean)
     assert np.array_equal(mc.sigma, sem)
+
+
+def test_gaussian_mc_one_time():
+    # numpy sums a lone column pairwise, not row by row: one block of 65,536
+    # trajectories keeps the bytes of the one-array form, more only its value
+    times = np.array([0.1])
+    mc = gaussian_channel_mc(12.0, 65536, 9, times)
+    assert np.array_equal([mc.coherence, mc.sigma], one_array_gaussian_mc(12.0, 65536, 9, times))
+    mc = gaussian_channel_mc(12.0, 200_000, 9, times)
+    np.testing.assert_allclose([mc.coherence, mc.sigma],
+                               one_array_gaussian_mc(12.0, 200_000, 9, times), rtol=1e-14)
 
 
 def test_gaussian_mc_memory_bounded():

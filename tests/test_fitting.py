@@ -157,6 +157,21 @@ def test_decay_noiseless_round_trip():
         assert result.rss < 1e-10
 
 
+def test_decay_series_sigma_weights_or_refuses():
+    t = np.linspace(0.0, 0.3, 16)
+    series = analytic_series(DecayParams(15.0, 5.14), t)
+    # an all-zero sigma, as analytic_series makes, fits unweighted
+    assert fit_coherence_decay(series).rss < 1e-10
+    # one zero among positive cells was once dropped with the whole column
+    sigma = np.full(t.size, 0.01)
+    sigma[4] = 0.0
+    mixed = CoherenceSeries(t, series.coherence, sigma)
+    with pytest.raises(DomainError, match="sigma values must be positive"):
+        fit_coherence_decay(mixed)
+    with pytest.raises(DomainError, match="sigma values must be positive"):
+        fit_coherence_decay(t, series.coherence, sigma)
+
+
 def test_decay_pure_exponential_boundary():
     series = analytic_series(DecayParams(0.0, 3.0), np.linspace(0.0, 1.2, 14))
     result = fit_coherence_decay(series)

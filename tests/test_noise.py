@@ -336,33 +336,31 @@ def test_estimate_psd_memory_bounded_at_high_overlap():
     assert peak < 32e6
 
 
-def unblocked_welch(samples, fs, length, overlap):
-    """The Welch sum over one (segment x sample) array per group of 256 segments,
-    the groups added up in turn: the bytes the blocked estimate_psd keeps."""
+def one_array_welch(samples, fs, length, overlap):
+    """The Welch sum over one (segment x sample) array: the bytes the blocked
+    estimate_psd keeps."""
     step = length - round(overlap * length)
-    segments = np.lib.stride_tricks.sliding_window_view(
-        samples / samples.mean() - 1.0, length)[::step]
+    seg = np.lib.stride_tricks.sliding_window_view(samples / samples.mean() - 1.0,
+                                                   length)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
-    power = np.zeros(length // 2 + 1)
-    for seg in np.split(segments, range(256, len(segments), 256)):
-        spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
-        power += (spectra.real ** 2 + spectra.imag ** 2).sum(axis=0)
-    pxx = power / len(segments) * (2.0 / (fs * window @ window))
+    spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
+    power = (spectra.real ** 2 + spectra.imag ** 2).sum(axis=0)
+    pxx = power / len(seg) * (2.0 / (fs * window @ window))
     if length % 2 == 0:
         pxx[-1] /= 2.0
     return pxx[1:]
 
 
 @pytest.mark.parametrize("length,overlap,n", [
-    (1024, 0.5, 300_000),       # 585 segments: three groups of blocks of 64
-    (2000, 0.9, 120_000),       # 591 segments, blocks of 32
+    (1024, 0.5, 300_000),       # 585 segments, past 256: ten blocks of 64
+    (2000, 0.9, 120_000),       # 591 segments: 19 blocks of 32
     (65_537, 0.5, 360_000),     # longer than one block: one segment a block
-    (8, 0.0, 5_000),            # one block a group
+    (8, 0.0, 5_000),            # 625 segments in one block
 ])
 def test_estimate_psd_blocks_keep_the_bytes(length, overlap, n):
     samples = 1.0 + 0.01 * np.random.default_rng(length).standard_normal(n)
     psd = estimate_psd(TimeSeries(1e4, samples), length, overlap)
-    assert np.array_equal(psd.psd, unblocked_welch(samples, 1e4, length, overlap))
+    assert np.array_equal(psd.psd, one_array_welch(samples, 1e4, length, overlap))
 
 
 def test_estimate_psd_memory_bounded_for_long_segments():

@@ -9,8 +9,23 @@ and T) and alternating signs s_k is
     w = 2 pi f
 
 so F(0) = 1 for a Ramsey sequence and F -> 0 at the zeros of the
-sequence's comb. A DLS frequency-noise PSD S(f) (units (rad/s)^2/Hz)
-filtered through a sequence gives the effective Gaussian channel width
+sequence's comb. Two layouts have closed forms, which need a few real
+sines per frequency and do not cancel at low f:
+
+    no pulses (ramsey):     F = 4 sin^2(w T / 2) / (w T)^2
+    n >= 1 pulses at (j - 1/2) tau, T = n tau (cpmg, spin_echo = cpmg(1, T)):
+                            F = 16 sin^4(w tau / 4) [sin(n y) / sin y]^2 / (w T)^2,
+                            y = (w tau - pi) / 2
+
+(Cywinski, Lutchyn, Nave & Das Sarma, PRB 77, 174509 (2008)). The squared
+ratio is n^2 at the comb peaks, where sin y = 0. A sequence takes the CPMG form
+only when its pulses and total time equal, bit for bit, those cpmg()
+builds from tau = 2 * first pulse, so cpmg(), spin_echo(), a JSON round
+trip of either and `filter --cpmg` qualify. The general sum above handles
+any other layout (UDD, hand-edited times) and the static response at f = 0.
+
+A DLS frequency-noise PSD S(f) (units (rad/s)^2/Hz) filtered through a
+sequence gives the effective Gaussian channel width
 
     sigma_eff**2 = integral F(f) S(f) df.
 """
@@ -91,6 +106,29 @@ def cpmg(n_pulses, interval_s) -> PulseSequence:
     return PulseSequence(n_pulses * interval_s, pulses)
 
 
+def _closed_form(seq: PulseSequence):
+    """F(w) at w != 0 for the Ramsey and CPMG layouts; None for any other layout."""
+    n, t_tot = seq.n_pulses, seq.t_total_s
+    if n == 0:
+        return lambda w: 4.0 * np.sin(0.5 * w * t_tot) ** 2 / (w * t_tot) ** 2
+    # exact: doubling a float only shifts its exponent
+    tau = 2.0 * seq.pi_pulses_s[0]
+    if t_tot != n * tau or seq.pi_pulses_s != tuple((j - 0.5) * tau for j in range(1, n + 1)):
+        return None
+
+    def comb(w):
+        x = w * tau
+        # [sin(n y) / sin y]^2 has period pi in y; reducing y to [-pi/2, pi/2]
+        # puts every comb peak at sin y == 0 exactly, where the ratio is n
+        y = 0.5 * (x - np.pi)
+        y -= np.pi * np.round(y / np.pi)
+        s = np.sin(y)
+        peak = s == 0.0
+        ratio = np.where(peak, float(n), np.sin(n * y) / np.where(peak, 1.0, s))
+        return 16.0 * np.sin(0.25 * x) ** 4 * ratio ** 2 / (w * t_tot) ** 2
+    return comb
+
+
 def filter_function(seq: PulseSequence, f_hz):
     """Normalized dephasing filter F(f) >= 0; F(0) is the static response."""
     f = np.asarray(f_hz, dtype=float)
@@ -111,13 +149,17 @@ def filter_function(seq: PulseSequence, f_hz):
         out[zero] = static ** 2
     nz = ~zero
     if np.any(nz):
-        # rows are independent, so blocks of frequencies bound the (frequency x
-        # edge) temporaries without changing a byte
+        # rows are independent, so blocks of frequencies bound the temporaries
+        # ((frequency x edge) ones for the general sum) without changing a byte
         w = omega[nz]
         values = np.empty(w.size)
-        rows = max(1, _BLOCK_ELEMENTS // edges.size)
+        closed = _closed_form(seq)
+        rows = _BLOCK_ELEMENTS if closed else max(1, _BLOCK_ELEMENTS // edges.size)
         for lo in range(0, w.size, rows):
             wb = w[lo:lo + rows]
+            if closed:
+                values[lo:lo + rows] = closed(wb)
+                continue
             phases = np.exp(1j * wb[:, None] * edges[None, :])
             amp = np.sum(signs[None, :] * np.diff(phases, axis=1), axis=1)
             values[lo:lo + rows] = np.abs(amp) ** 2 / (wb * t_tot) ** 2
@@ -148,10 +190,17 @@ def filtered_sigma(seq: PulseSequence, dls_psd: NoiseSpectrum,
     (any NoiseSpectrum container is accepted; the kind is not enforced
     here). Trapezoidal integration on a log-spaced grid.
     """
-    f_lo, f_hi = band
-    if not 0.0 < f_lo < f_hi:
-        raise DomainError("band must satisfy 0 < f_min < f_max")
-    n = max(int(np.ceil(np.log10(f_hi / f_lo) * points_per_decade)), 16)
+    f_lo, f_hi = float(band[0]), float(band[1])
+    if not 0.0 < f_lo < f_hi < np.inf:
+        raise DomainError("band must satisfy 0 < f_min < f_max < inf")
+    if not 0.0 < points_per_decade < np.inf:
+        raise DomainError("points_per_decade must be positive and finite")
+    # in Python floats a band ratio or point count past the float range is inf,
+    # not an error; numpy cannot index past intp either
+    count = np.ceil(float(np.log10(f_hi / f_lo)) * float(points_per_decade))
+    if not count <= np.iinfo(np.intp).max:
+        raise DomainError("band and points_per_decade ask for more points than an array holds")
+    n = max(int(count), 16)
     f = np.logspace(np.log10(f_lo), np.log10(f_hi), n)
     integrand = filter_function(seq, f) * dls_psd.evaluate(f)
     var = np.trapezoid(integrand, f)

@@ -290,6 +290,18 @@ def test_filter_sweep(tmp_path):
     assert doc["n_pulses"] == 4
 
 
+def test_filter_sequence_json_matches_cpmg_flag(tmp_path, capsys):
+    # a JSON round trip keeps the CPMG layout bit for bit, so it takes the same form
+    seq_path = tmp_path / "seq.json"
+    io.write_json(seq_path, trapcoh.cpmg(3, 0.5).to_json_obj())
+    for name, chosen in (("json", ["--sequence", str(seq_path)]),
+                         ("flag", ["--cpmg", "3", "--interval", "0.5"])):
+        assert cli.main(["filter", *chosen, "--outdir", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    json_csv = (tmp_path / "json" / "filter.csv").read_bytes()
+    assert json_csv == (tmp_path / "flag" / "filter.csv").read_bytes()
+
+
 def test_filter_sigma_eff(tmp_path):
     spec = {"kind": "spring_fractional",
             "samples": [[1e-4, 1.0], [0.01, 1.0], [0.0101, 1e-30], [1.0, 1e-30]]}

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from trapcoh import (
     simulate_fringe,
     spin_echo,
 )
-from trapcoh import io
+from trapcoh import io, sequences
 
 
 def phase_quadrature(seq, f_hz, dt):
@@ -150,25 +151,111 @@ def test_filter_matches_phase_quadrature():
 
 
 def unblocked_filter(seq, f_hz):
-    """The filter as one (frequency x edge) array: the bytes of the blocked one."""
+    """The filter as one array: the bytes of the blocked one."""
     omega = 2.0 * np.pi * f_hz
     out = np.empty(f_hz.shape)
     edges, signs, t_tot = seq.boundaries(), seq.signs(), seq.t_total_s
     zero = (omega * t_tot) ** 2 == 0.0
     out[zero] = (np.sum(signs * np.diff(edges)) / t_tot) ** 2
+    closed = sequences._closed_form(seq)
+    if closed:
+        out[~zero] = closed(omega[~zero])
+        return out
     w = omega[~zero][:, None]
     amp = np.sum(signs[None, :] * np.diff(np.exp(1j * w * edges[None, :]), axis=1), axis=1)
     out[~zero] = np.abs(amp) ** 2 / (omega[~zero] * t_tot) ** 2
     return out
 
 
-@pytest.mark.parametrize("seq", [cpmg(10, 0.1), ramsey(1.0), spin_echo(0.5)],
-                         ids=["cpmg10", "ramsey", "echo"])
+def udd(n, t_total):
+    """Uhrig's layout: pulses at T sin^2(pi j / (2 n + 2))."""
+    return PulseSequence(t_total, tuple(t_total * math.sin(math.pi * j / (2 * n + 2)) ** 2
+                                        for j in range(1, n + 1)))
+
+
+def nudged_cpmg10():
+    """cpmg(10, 0.1) with its fifth pulse one ulp later: no longer the CPMG layout."""
+    pulses = list(cpmg(10, 0.1).pi_pulses_s)
+    pulses[4] = math.nextafter(pulses[4], 1.0)
+    return PulseSequence(cpmg(10, 0.1).t_total_s, tuple(pulses))
+
+
+@pytest.mark.parametrize("seq", [cpmg(10, 0.1), ramsey(1.0), spin_echo(0.5),
+                                 PulseSequence(1.0, (0.3, 0.45, 0.9)), udd(8, 0.1),
+                                 nudged_cpmg10()],
+                         ids=["cpmg10", "ramsey", "echo", "lopsided", "udd8", "cpmg10_ulp"])
 def test_filter_blocks_keep_the_bytes(seq):
-    # 50,000 frequencies, 5,461 a block for CPMG-10, with static points among them
-    f = np.logspace(-2, 3, 50_000)
+    # 150,000 frequencies, with static points among them: 3 blocks of the closed
+    # forms, 6,553 rows a block of the general sum for UDD-8
+    f = np.logspace(-2, 3, 150_000)
     f[::7] = 0.0
     assert np.array_equal(filter_function(seq, f), unblocked_filter(seq, f))
+
+
+def test_closed_form_detection(tmp_path):
+    # the CPMG form needs the layout cpmg() builds, bit for bit
+    for seq in (cpmg(1, 0.3), cpmg(4, 0.8), cpmg(20, 1e-3), cpmg(7, 0.013), spin_echo(0.1),
+                spin_echo(1.0 / 3.0)):
+        assert sequences._closed_form(seq) is not None
+    path = tmp_path / "seq.json"
+    io.write_json(path, cpmg(11, 0.037).to_json_obj())
+    assert sequences._closed_form(PulseSequence.from_json_obj(io.read_json(path))) is not None
+    for seq in (nudged_cpmg10(), udd(8, 0.1), PulseSequence(1.0, (0.3, 0.45, 0.9)),
+                PulseSequence(math.nextafter(1.0, 2.0), (0.5,))):
+        assert sequences._closed_form(seq) is None
+    # the general sum of the nudged layout stays on the closed form of the exact one
+    f = np.logspace(-4, 3, 2000)
+    nudged = filter_function(nudged_cpmg10(), f)
+    exact = filter_function(cpmg(10, 0.1), f)
+    bulk = exact >= 1e-10 * exact.max()
+    assert np.all(np.abs(nudged[bulk] - exact[bulk]) <= 1e-9 * exact[bulk])
+
+
+def exact_layout_filter(n, interval, f_hz):
+    """F of n pulses at (j - 1/2) tau, T = n tau, from the float tau, in 50 digits."""
+    with mpmath.workdps(50):
+        tau = mpmath.mpf(interval)
+        edges = [mpmath.mpf(0), *((j - mpmath.mpf(0.5)) * tau for j in range(1, n + 1)), n * tau]
+        out = []
+        for f in f_hz:
+            w = 2 * mpmath.pi * mpmath.mpf(float(f))
+            amp = sum((-1) ** k * (mpmath.expj(w * b) - mpmath.expj(w * a))
+                      for k, (a, b) in enumerate(zip(edges, edges[1:])))
+            out.append(float(abs(amp) ** 2 / (w * n * tau) ** 2))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n, interval", [(1, 0.5), (3, 0.5), (10, 0.01), (20, 0.8)])
+def test_cpmg_closed_form_matches_50_digits(n, interval):
+    # a log grid to 10 / tau, plus the comb's first 20 peaks (2k + 1) / (2 tau)
+    # and first 20 zeros k / T
+    k = np.arange(20)
+    f = np.concatenate((np.logspace(-4, math.log10(10.0 / interval), 300),
+                        (2 * k + 1) / (2 * interval), (k + 1) / (n * interval)))
+    got = filter_function(cpmg(n, interval), f)
+    want = exact_layout_filter(n, interval, f)
+    bulk = want >= 1e-10 * want.max()
+    assert np.all(np.abs(got[bulk] - want[bulk]) <= 1e-10 * want[bulk])
+
+
+def test_cpmg_closed_form_at_low_frequency():
+    # the sum of edge exponentials cancels here: 13% off at 0.1 mHz
+    f = np.array([1e-4, 1e-3, 1e-2])
+    want = exact_layout_filter(10, 0.01, f)
+    assert filter_function(cpmg(10, 0.01), f) == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
+def test_closed_forms_are_finite_at_comb_peaks_and_zeros():
+    # tau a power of two puts w tau exactly on pi at the first peak: sin y == 0
+    for seq in (cpmg(1, 0.5), cpmg(3, 0.5), cpmg(10, 0.125), cpmg(20, 0.8), ramsey(0.5)):
+        k = np.arange(1, 200)
+        tau = seq.t_total_s / max(seq.n_pulses, 1)
+        f = np.concatenate(((2 * k - 1) / (2 * tau), k / seq.t_total_s, k / tau, [0.0]))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            values = filter_function(seq, f)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+    first_peak = filter_function(cpmg(3, 0.5), 1.0)
+    assert first_peak == pytest.approx(4.0 / math.pi ** 2, rel=1e-15)
 
 
 def test_filter_memory_bounded():
@@ -216,6 +303,15 @@ def test_filtered_sigma_scaling():
     assert filtered_sigma(seq, psd.scaled(4.0)) == pytest.approx(2.0 * base, rel=1e-12)
     with pytest.raises(DomainError):
         filtered_sigma(seq, psd, band=(1.0, 0.1))
+
+
+@pytest.mark.parametrize("kwargs", [{"band": (1e-4, math.inf)}, {"band": (1e-300, 1e300)},
+                                    {"points_per_decade": math.nan},
+                                    {"points_per_decade": -5}],
+                         ids=["f_max_inf", "band_ratio_overflows", "ppd_nan", "ppd_negative"])
+def test_filtered_sigma_refuses_bad_grid(kwargs):
+    with pytest.raises(DomainError):
+        filtered_sigma(cpmg(2, 0.8), low_frequency_spectrum(), **kwargs)
 
 
 def test_filtered_sigma_ramsey_flat_band():

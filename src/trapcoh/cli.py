@@ -64,6 +64,24 @@ def _series_csv(series):
     return io.csv_text(CoherenceSeries.COLUMNS, series.t_s, series.coherence, series.sigma)
 
 
+def _mc_max_z(params, n_traj, t, values) -> float:
+    """Largest |MC - C(t)| over the grid in standard errors of the model.
+
+    The Monte-Carlo curve is the product of two independent means over n_traj
+    trajectories: G of cos(delta t), per-trajectory variance (1 + g**4) / 2 - g**2
+    with g = exp(-sigma**2 t**2 / 2), and S of the no-jump share, variance
+    s (1 - s) with s = exp(-R t); var(G S) = vG vS + vG s**2 + vS g**2. The error
+    adds 1 / n_traj, the resolution of a share of n_traj trajectories, so the
+    score stays finite where var(G S) vanishes (t = 0, or s = 0).
+    """
+    g = np.exp(-0.5 * (params.sigma_dls * t) ** 2)
+    s = np.exp(-params.pjr * t)
+    v_g = np.maximum(0.5 * (1.0 + g ** 4) - g * g, 0.0) / n_traj
+    v_s = s * (1.0 - s) / n_traj
+    err = np.sqrt(v_g * v_s + v_g * s * s + v_s * g * g) + 1.0 / n_traj
+    return float(np.max(np.abs(values - g * s) / err))
+
+
 def _parse_occupation(text) -> FixedOccupation:
     with io.parsing(f"occupation {text!r}"):
         nx, ny, nz = (int(p) for p in text.split(","))
@@ -116,6 +134,7 @@ def cmd_simulate(args):
         "params": params.to_json_obj(),
         "t2_s": t2_time(params) if (sigma, pjr) != (0.0, 0.0) else None,
         "n_traj": args.n_traj,
+        "mc_max_z": _mc_max_z(params, args.n_traj, grid, combined),
         "meta": _meta(inputs, args.seed),
     }
     return doc, {

@@ -225,33 +225,17 @@ def analytic_series(params: DecayParams, times) -> CoherenceSeries:
     return CoherenceSeries(times, c, np.zeros_like(c))
 
 
-def gaussian_channel_mc(sigma_dls, n_traj, seed, times) -> CoherenceSeries:
-    """Monte-Carlo Gaussian dephasing channel.
-
-    Each trajectory draws a frozen detuning from N(0, sigma_dls); the
-    ensemble mean of cos(delta * t) estimates exp(-sigma**2 t**2 / 2).
-    The per-point sigma is the standard error of that mean. Bit-identical
-    for identical (seed, n_traj, times). Draws and sums blocks of _BLOCK_ELEMENTS
-    values; with two or more times the sums equal the one-array form
-    np.cos(np.outer(deltas, times)).sum(axis=0) bit for bit at every n_traj
-    (numpy sums a lone column pairwise: with one time, up to one block).
-    """
-    # written so that NaN fails the comparisons as well
-    if not 0.0 <= sigma_dls < math.inf:
-        raise DomainError("sigma must be finite and nonnegative")
-    if not n_traj >= 2:
-        raise DomainError("need at least two trajectories")
-    times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0.0) & (times < math.inf)):
-        raise DomainError("times must be finite and nonnegative")
-    rng = np.random.default_rng(seed)
-    n_traj = int(n_traj)
+def _cosine_sums(rng, sigma, n_traj, times):
+    """Sums over the trajectories of cos(delta t) and its square, one libm
+    cosine per (trajectory, time). Equal bit for bit to the sums of the one
+    array np.cos(np.outer(deltas, times)) with two or more times (numpy sums a
+    lone column pairwise: with one time, up to one block)."""
     rows = max(1, _BLOCK_ELEMENTS // max(times.size, 1))
     cosines, squares = np.empty((2, min(rows, n_traj), times.size))
     total = total_sq = np.zeros(times.size)
     for lo in range(0, n_traj, rows):
         # the generator's stream does not depend on how the draws are split
-        d = rng.normal(0.0, sigma_dls, size=(min(rows, n_traj - lo), 1))
+        d = rng.normal(0.0, sigma, size=(min(rows, n_traj - lo), 1))
         cos, sq = cosines[:d.size], squares[:d.size]
         np.cos(np.multiply(d, times.ravel(), out=cos), out=cos)
         np.multiply(cos, cos, out=sq)
@@ -260,6 +244,111 @@ def gaussian_channel_mc(sigma_dls, n_traj, seed, times) -> CoherenceSeries:
         cos[0] += total
         sq[0] += total_sq
         total, total_sq = cos.sum(axis=0), sq.sum(axis=0)
+    return total, total_sq
+
+
+def _rotations(table, step):
+    """Fill rows 1.. of table with table[0] * step**j: rows [k, 2k) are rows
+    [0, k) times step**k, so row j takes one product per set bit of j and
+    step**k comes from log2(k) squarings."""
+    k, n = 1, table.shape[0]
+    while k < n:
+        np.multiply(table[:min(k, n - k)], step, out=table[k:2 * k])
+        k *= 2
+        if k < n:
+            step = step * step
+
+
+def _phase_tables(deltas, t0, h, coarse, fine):
+    """Fill coarse[j] = exp(i delta (t0 + a j h)) and fine[b] = exp(-i delta b h),
+    j < m and b < a the rows of the two complex (rows, trajectories) arrays,
+    from one sincos of the three phases delta (-h, a h, t0) and _rotations.
+
+    Each squaring doubles the error of step, so row j is off by about j eps
+    and exp(i delta t) = coarse[j] conj(fine[b]), t = t0 + (a j + b) h, by
+    about (a + m) eps, on top of the eps |delta t| that rounding the phase
+    itself costs."""
+    a = fine.shape[0]
+    base = np.empty((3, deltas.size), complex)
+    np.multiply.outer((-h, a * h, t0), deltas, out=base.real)
+    np.sin(base.real, out=base.imag)
+    np.cos(base.real, out=base.real)
+    fine[0] = 1.0
+    coarse[0] = base[2]
+    _rotations(coarse, base[1])
+    _rotations(fine, base[0])
+
+
+def _uniform_sums(rng, sigma, n_traj, times):
+    """The sums of _cosine_sums on a uniform grid t_k = t0 + k h.
+
+    With a = ceil(sqrt(n)) and m = ceil(n / a) for n times, k = a j + b. A block
+    of trajectories fills the tables Z[j] = exp(i delta (t0 + a j h)) and
+    F[b] = exp(i delta b h) and adds the (m, a) matrix Re(Z^T F), whose cell
+    (j, b) is the sum of cos(delta t_k); likewise cos**2 = (1 + cos 2 delta t) / 2
+    from Re((Z**2)^T F**2). The tables store F conjugated, so the real part of a
+    complex product is the real matrix product of the two arrays viewed as
+    (re, im) pairs: one BLAS call per sum, no cosine per time.
+    """
+    a = math.isqrt(times.size - 1) + 1
+    m = -(-times.size // a)
+    t0, h = times[0], (times[-1] - times[0]) / (times.size - 1)
+    rows = max(1, _BLOCK_ELEMENTS // (2 * a))
+    coarse = np.empty((m, min(rows, n_traj)), complex)
+    fine = np.empty((a, min(rows, n_traj)), complex)
+    total, doubled = np.zeros((2, m, a))
+    for lo in range(0, n_traj, rows):
+        d = rng.normal(0.0, sigma, size=min(rows, n_traj - lo))
+        # the cosine form overflows where the largest phase delta t does, which
+        # the tables never form: refuse here as it would
+        if not np.isfinite(np.abs(d).max() * times[-1]):
+            raise DomainError("Monte-Carlo phases exceed the float range")
+        z, f = coarse[:, :d.size], fine[:, :d.size]
+        _phase_tables(d, t0, h, z, f)
+        total += z.view(float) @ f.view(float).T
+        z *= z
+        f *= f
+        doubled += z.view(float) @ f.view(float).T
+    total_sq = 0.5 * (n_traj + doubled)
+    return total.ravel()[:times.size], total_sq.ravel()[:times.size]
+
+
+def gaussian_channel_mc(sigma_dls, n_traj, seed, times) -> CoherenceSeries:
+    """Monte-Carlo Gaussian dephasing channel.
+
+    Each trajectory draws a frozen detuning from N(0, sigma_dls); the
+    ensemble mean of cos(delta * t) estimates exp(-sigma**2 t**2 / 2).
+    The per-point sigma is the standard error of that mean. Bit-identical
+    for identical (seed, n_traj, times) on one numpy build and BLAS thread
+    count. Draws blocks of trajectories, each within _BLOCK_ELEMENTS values
+    per temporary, from one generator stream whatever the block size.
+
+    A grid equal bit for bit to np.linspace(times[0], times[-1], times.size),
+    with three or more times, sums its cosines from two tables of complex
+    rotations and one matrix product per block (_uniform_sums); the sums
+    agree with one cosine per (trajectory, time) to about 2 sqrt(n) eps +
+    eps |delta t| per phase, and their last digits depend on the BLAS build
+    and its thread count. Any other grid takes one libm cosine per
+    (trajectory, time) and keeps the bytes of the one-array form
+    np.cos(np.outer(deltas, times)).sum(axis=0) (_cosine_sums): so do one
+    and two times, where that is no more than the tables' sincos of three
+    phases per trajectory.
+    """
+    # written so that NaN fails the comparisons as well
+    if not 0.0 <= sigma_dls < math.inf:
+        raise DomainError("sigma must be finite and nonnegative")
+    if not n_traj >= 2:
+        raise DomainError("need at least two trajectories")
+    if n_traj % 1 != 0:
+        raise DomainError("number of trajectories must be an integer")
+    times = np.asarray(times, dtype=float)
+    if not np.all((times >= 0.0) & (times < math.inf)):
+        raise DomainError("times must be finite and nonnegative")
+    rng = np.random.default_rng(seed)
+    n_traj = int(n_traj)
+    uniform = times.ndim == 1 and times.size >= 3 and np.array_equal(
+        times, np.linspace(times[0], times[-1], times.size))
+    total, total_sq = (_uniform_sums if uniform else _cosine_sums)(rng, sigma_dls, n_traj, times)
     mean = total / n_traj
     var = np.maximum(total_sq / n_traj - mean ** 2, 0.0)
     sem = np.sqrt(var / n_traj)

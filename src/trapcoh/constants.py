@@ -30,5 +30,7 @@ D1_WEIGHT = 1.0 / 3.0
 
 # numerical: float64 elements in one temporary of the blocked kernels (Monte-Carlo,
 # Welch, filter function), 512 kB, so that their working set stays in cache at
-# any input size; package-private
+# any input size; a complex value counts as two, so a block of the Gaussian
+# channel's uniform-grid rotation tables (ceil(sqrt(n)) rows for n times) holds
+# _BLOCK_ELEMENTS // (2 ceil(sqrt(n))) trajectories; package-private
 _BLOCK_ELEMENTS = 1 << 16

@@ -223,6 +223,8 @@ def first_jump_survival_mc(rate, n_traj, seed, times) -> np.ndarray:
         raise DomainError("rate must be finite and nonnegative")
     if not n_traj >= 1:
         raise DomainError("need at least one trajectory")
+    if n_traj % 1 != 0:
+        raise DomainError("number of trajectories must be an integer")
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & (times < math.inf)):
         raise DomainError("times must be finite and nonnegative")

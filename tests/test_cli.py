@@ -82,6 +82,18 @@ def test_simulate_deterministic(tmp_path):
     assert doc["t2_s"] == pytest.approx(0.07416461456998058, rel=1e-12)
 
 
+@pytest.mark.parametrize("argv,bound", [
+    # the README example: the largest |MC - C(t)| over 33 points, in standard errors
+    (["--sigma-dls", "15.0", "--pjr", "5.14", "--t-max", "0.16", "--points", "33",
+      "--n-traj", "20000"], 5.0),
+    # no decay: every Monte-Carlo point is exactly 1
+    (["--sigma-dls", "0", "--pjr", "0", "--n-traj", "500"], 0.0),
+])
+def test_simulate_mc_max_z(argv, bound, tmp_path, capsys):
+    assert cli.main(["simulate", *argv, "--outdir", str(tmp_path)]) == 0
+    assert 0.0 <= json.loads(capsys.readouterr().out)["mc_max_z"] <= bound
+
+
 def test_simulate_montecarlo_tracks_analytic(tmp_path):
     run_cli("simulate", "--sigma-dls", "12.0", "--pjr", "3.0",
             "--n-traj", "20000", "--seed", "5", "--t-max", "0.2",
@@ -560,8 +572,11 @@ def test_simulate_underflowing_sigma(tmp_path, capsys):
     # sigma**2 underflows to zero, yet the 1/e time sqrt(2) / sigma is finite
     assert cli.main(["simulate", "--sigma-dls", "1e-300", "--pjr", "0", "--n-traj", "100",
                      "--points", "5", "--outdir", str(tmp_path)]) == 0
-    t2 = json.loads(capsys.readouterr().out)["t2_s"]
+    doc = json.loads(capsys.readouterr().out)
+    t2 = doc["t2_s"]
     assert math.isfinite(t2) and t2 == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
+    # both model variances vanish on this grid; the 1 / n_traj floor keeps z finite
+    assert math.isfinite(doc["mc_max_z"])
 
 
 #: numeric flag values: finite, zero, negative, huge, NaN and +-inf

@@ -1,8 +1,10 @@
 """Two-channel decay model, coherence times, thermometry, scattering limit."""
 
+import importlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,11 @@ from trapcoh import (
     temperature_from_ramsey_t2star,
 )
 from trapcoh import io
+from trapcoh.coherence import _phase_tables
 from trapcoh.constants import BOLTZMANN, CS_D2_LINEWIDTH, HBAR
+
+# the module, which the package's coherence function shadows
+COHERENCE_MODULE = importlib.import_module("trapcoh.coherence")
 
 ETA_1052 = 1.5291931912736172e-4
 ETA_780 = 2.5009109883279435e-4
@@ -240,11 +246,12 @@ def test_analytic_series_matches_pointwise():
 
 
 def test_gaussian_mc_deterministic():
-    t = np.linspace(0.0, 0.3, 7)
-    a = gaussian_channel_mc(12.0, 4000, 5, t)
-    b = gaussian_channel_mc(12.0, 4000, 5, t)
-    assert np.array_equal(a.coherence, b.coherence)
-    assert np.array_equal(a.sigma, b.sigma)
+    for n_traj, n_times in ((4000, 7), (65536 + 4500, 81)):
+        t = np.linspace(0.0, 0.3, n_times)
+        a = gaussian_channel_mc(12.0, n_traj, 5, t)
+        b = gaussian_channel_mc(12.0, n_traj, 5, t)
+        assert np.array_equal(a.coherence, b.coherence)
+        assert np.array_equal(a.sigma, b.sigma)
 
 
 def test_gaussian_mc_tracks_analytic():
@@ -257,11 +264,18 @@ def test_gaussian_mc_tracks_analytic():
 
 
 def test_gaussian_mc_zero_width():
-    # normal draws of scale 0 are +-0, whose cosines are exactly 1
-    t = np.linspace(0.0, 0.5, 5)
-    mc = gaussian_channel_mc(0.0, 100_000, 0, t)
-    assert np.array_equal(mc.coherence, np.ones(5))
-    assert np.array_equal(mc.sigma, np.zeros(5))
+    # normal draws of scale 0 are +-0, whose cosines and rotations are exactly 1
+    for t in (np.linspace(0.0, 0.5, 5), np.array([0.0, 0.1, 0.5])):
+        mc = gaussian_channel_mc(0.0, 100_000, 0, t)
+        assert np.array_equal(mc.coherence, np.ones(t.size))
+        assert np.array_equal(mc.sigma, np.zeros(t.size))
+
+
+def test_gaussian_mc_exact_at_zero_time():
+    # t = 0 is row 0 of both tables, exp(0) = 1 + 0j: a sum of n exact ones
+    for n_traj in (2, 50, 70_000):
+        mc = gaussian_channel_mc(12.0, n_traj, 4, np.linspace(0.0, 0.3, 81))
+        assert mc.coherence[0] == 1.0 and mc.sigma[0] == 0.0
 
 
 def one_array_gaussian_mc(sigma, n_traj, seed, times):
@@ -274,14 +288,23 @@ def one_array_gaussian_mc(sigma, n_traj, seed, times):
     return np.clip(mean, -0.05, 1.05), sem
 
 
+def squared_grid(n_times):
+    """n_times points on [0, 0.3], denser at 0: a grid that is not linspace's."""
+    times = 0.3 * np.linspace(0.0, 1.0, n_times) ** 2
+    assert n_times < 3 or not np.array_equal(times, np.linspace(0.0, 0.3, n_times))
+    return times
+
+
 @pytest.mark.parametrize("n_traj,n_times", [
     (65536 + 4500, 81),   # 87 blocks of 809 trajectories, past 65,536 draws
     (100_000, 2),         # the report's shape: four blocks of 32,768
+    (100_000, 3),         # five blocks of up to 21,845
     (50, 70_000),         # more times than one block holds: one trajectory a block
     (70_000, 1),          # t = 0 alone: two blocks of cosines that are all 1
 ])
 def test_gaussian_mc_blocks_keep_the_bytes(n_traj, n_times):
-    times = np.linspace(0.0, 0.3, n_times)
+    # non-uniform grids, and one or two times, take one cosine per (trajectory, time)
+    times = squared_grid(n_times)
     mc = gaussian_channel_mc(12.0, n_traj, 9, times)
     mean, sem = one_array_gaussian_mc(12.0, n_traj, 9, times)
     assert np.array_equal(mc.coherence, mean)
@@ -299,16 +322,123 @@ def test_gaussian_mc_one_time():
                                one_array_gaussian_mc(12.0, 200_000, 9, times), rtol=1e-14)
 
 
+def test_gaussian_mc_grid_one_ulp_off_linspace():
+    times = np.linspace(0.0, 0.3, 81)
+    times[40] = np.nextafter(times[40], 1.0)
+    mc = gaussian_channel_mc(12.0, 5000, 9, times)
+    assert np.array_equal([mc.coherence, mc.sigma], one_array_gaussian_mc(12.0, 5000, 9, times))
+
+
+def test_gaussian_mc_path_choice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("wrong path")
+
+    # simulate's grids and an 81-point grid to twice T2; the report's [0, 1] and
+    # any other two times cost the cosine loop less than the tables' sincos
+    uniform = [np.linspace(0.0, 0.16, 33), np.linspace(0.0, 1.0, 3),
+               np.linspace(0.0, 2.0 * t2_time(DecayParams(12.0, 3.0)), 81),
+               np.linspace(0.05, 0.3, 70)]
+    nudged = np.linspace(0.0, 0.3, 81)
+    nudged[-2] = np.nextafter(nudged[-2], 0.0)
+    other = [np.array([0.1]), np.array([0.0]), np.array([0.0, 1.0]), nudged,
+             squared_grid(3)]
+    monkeypatch.setattr(COHERENCE_MODULE, "_cosine_sums", refuse)
+    for times in uniform:
+        gaussian_channel_mc(12.0, 100, 1, times)
+    monkeypatch.undo()
+    monkeypatch.setattr(COHERENCE_MODULE, "_uniform_sums", refuse)
+    for times in other:
+        gaussian_channel_mc(12.0, 100, 1, times)
+
+
+U = 2.0 ** -53  # unit roundoff of float64
+
+
+def table_split(n_times):
+    """(a, m) of the uniform-grid tables: t_k = t0 + (a j + b) h, b < a, j < m."""
+    a = math.isqrt(n_times - 1) + 1
+    return a, -(-n_times // a)
+
+
+def phase_bound(n_times, delta_t):
+    """Bound on |coarse[j] conj(fine[b]) - exp(i delta t_k)|, k = a j + b, with
+    t_k the float time of np.linspace, for the tables of _phase_tables.
+
+    - libm sin and cos are within 1 ulp, so each base exp(i theta) is off by
+      at most sqrt(2) u; a complex product adds at most sqrt(5) u relative
+      (Brent, Percival & Zimmermann, Math. Comp. 76, 1469 (2007)).
+    - step**(2**p) after p squarings is then off by at most 2**p (sqrt(2) +
+      sqrt(5)) u, and row j is one product per set bit of j, so it is off by at
+      most (sqrt(2) + sqrt(5)) j u + sqrt(5) log2(2 j) u, plus sqrt(2) u for the
+      coarse table's row 0. With j < m, b < a and one more product, the two rows
+      give less than 4 (a + m + 3 + log2(a m)) u.
+    - The phases delta (-h, a h, t0) are rounded once (a h twice), which moves
+      the table's phase by at most 2 u |delta| (t0 + k h); linspace's t_k is
+      t0 + k h rounded twice, or stop itself, at most 2 u t_k away: 4 u |delta t_k|.
+    """
+    a, m = table_split(n_times)
+    return (4.0 * (a + m + 3 + math.log2(a * m)) + 4.0 * np.abs(delta_t)) * U
+
+
+@pytest.mark.parametrize("sigma,times", [
+    (300.0, np.linspace(0.0, 1.0, 81)),    # |delta t| up to about 800
+    (300.0, np.linspace(0.25, 1.0, 70)),   # t0 > 0: the coarse table's row 0 is a sincos
+    (3.0, np.linspace(0.0, 300.0, 3)),     # the fewest times the tables take
+])
+def test_phase_tables_match_50_digits(sigma, times):
+    deltas = np.random.default_rng(5).normal(0.0, sigma, 200)
+    a, m = table_split(times.size)
+    coarse, fine = np.empty((m, 200), complex), np.empty((a, 200), complex)
+    _phase_tables(deltas, times[0], (times[-1] - times[0]) / (times.size - 1), coarse, fine)
+    table = (coarse[:, None] * fine.conj()[None]).reshape(m * a, 200)[:times.size]
+    with mpmath.workdps(50):
+        exact = np.array([[complex(mpmath.expj(mpmath.mpf(float(d)) * mpmath.mpf(float(t))))
+                           for d in deltas] for t in times])
+    assert np.all(np.abs(table - exact) <= phase_bound(times.size, np.outer(times, deltas)))
+
+
+@pytest.mark.parametrize("n_traj,n_times", [
+    (65536 + 4500, 81),   # 20 blocks of 3,640 trajectories
+    (100_000, 3),         # the fewest times the tables take
+    (50, 70_000),         # tables of 265 rows
+])
+def test_uniform_mc_matches_cosine_form(n_traj, n_times):
+    """Mean and variance within derived bounds of the one-array cosine form.
+
+    Per phase the tables are within phase_bound of exp(i delta t), and the
+    libm cosine of the rounded phase within u |delta t| + u, less than
+    phase_bound. Any order of summing K terms is off by at most (K - 1) u
+    times the sum of their moduli: the cosine form sums n cosines, the tables
+    2 n products (n real pairs of modulus <= 1) with their block partials, so
+    the two means differ by at most 2 phase_bound + 3 n u + 2 u. The means of
+    cos**2 = (1 + cos 2 delta t) / 2 differ by at most 2 phase_bound + 2 n u +
+    4 u (squaring a row doubles its error), mean**2 by twice the mean's bound,
+    and forming var = n sem**2 adds at most 8 u. The variance is compared, not
+    sem: at t near 0 it is a cancelled difference, whose square root amplifies
+    the error.
+    """
+    times = np.linspace(0.0, 0.3, n_times)
+    mc = gaussian_channel_mc(12.0, n_traj, 9, times)
+    mean, sem = one_array_gaussian_mc(12.0, n_traj, 9, times)
+    reach = np.abs(np.random.default_rng(9).normal(0.0, 12.0, n_traj)).max() * times
+    mean_bound = 2.0 * phase_bound(n_times, reach) + (3 * n_traj + 2) * U
+    var_bound = 2.0 * phase_bound(n_times, reach) + (2 * n_traj + 12) * U + 2.0 * mean_bound
+    assert np.all(np.abs(mc.coherence - mean) <= mean_bound)
+    assert np.all(np.abs(n_traj * mc.sigma ** 2 - n_traj * sem ** 2) <= var_bound)
+
+
 def test_gaussian_mc_memory_bounded():
-    # 20,000 trajectories x 400 times: 64 MB for each whole-array temporary
-    times = np.linspace(0.0, 0.3, 400)
-    tracemalloc.start()
-    try:
-        gaussian_channel_mc(12.0, 20_000, 1, times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    # whole-array temporaries would take 64 MB each at 20,000 trajectories x 400
+    # times, on either path, and 1.1 GB at 2,000 x 70,000 (tables of 265 rows)
+    for n_traj, times in ((20_000, np.linspace(0.0, 0.3, 400)), (20_000, squared_grid(400)),
+                          (2_000, np.linspace(0.0, 0.3, 70_000))):
+        tracemalloc.start()
+        try:
+            gaussian_channel_mc(12.0, n_traj, 1, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 @pytest.mark.parametrize("sigma,n_traj,times", [
@@ -320,11 +450,33 @@ def test_gaussian_mc_memory_bounded():
     (1.0, 100, [-1.0, 0.0]),
     (1.0, math.nan, [0.0, 1.0]),
     (1.0, 1, [0.0, 1.0]),
+    (1.0, 2.5, [0.0, 1.0]),          # once floored to 2 trajectories
+    (1.0, math.inf, [0.0, 1.0]),     # once an OverflowError from int()
 ])
 def test_gaussian_mc_domain(sigma, n_traj, times):
     # NaN once passed the sign check and gave C = 1 with sem 0
     with pytest.raises(DomainError):
         gaussian_channel_mc(sigma, n_traj, 1, times)
+
+
+def test_gaussian_mc_takes_integral_floats():
+    for times in (np.linspace(0.0, 0.3, 5), squared_grid(5)):
+        a = gaussian_channel_mc(12.0, 1e4, 3, times)
+        b = gaussian_channel_mc(12.0, 10_000, 3, times)
+        assert np.array_equal([a.coherence, a.sigma], [b.coherence, b.sigma])
+
+
+def test_gaussian_mc_phase_past_the_float_range():
+    # delta t overflows at the last time, though not in the tables' phases
+    # delta (-h, a h, t0), below 6e306: both paths refuse, with numpy's warning
+    # or, where numpy raises (as in the CLI), its FloatingPointError
+    nudged = np.linspace(0.0, 2e8, 10_000)
+    nudged[1] = np.nextafter(nudged[1], 0.0)
+    for times in (np.linspace(0.0, 2e8, 10_000), nudged):
+        with pytest.warns(RuntimeWarning), pytest.raises(DomainError):
+            gaussian_channel_mc(1e300, 100, 1, times)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            gaussian_channel_mc(1e300, 100, 1, times)
 
 
 def test_series_validation():

@@ -305,7 +305,15 @@ def test_first_jump_mc_memory_bounded():
     (1.0, 100, [0.0, math.inf]),
     (1.0, 100, [-1.0, 0.0]),
     (1.0, math.nan, [0.0, 1.0]),
+    (1.0, 2.5, [0.0, 1.0]),          # once floored to 2 trajectories
+    (1.0, math.inf, [0.0, 1.0]),     # once an OverflowError from int()
 ])
 def test_first_jump_mc_domain(rate, n_traj, times):
     with pytest.raises(DomainError):
         first_jump_survival_mc(rate, n_traj, 1, times)
+
+
+def test_first_jump_mc_takes_integral_floats():
+    times = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(first_jump_survival_mc(2.0, 1e4, 3, times),
+                          first_jump_survival_mc(2.0, 10_000, 3, times))

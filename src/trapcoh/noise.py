@@ -99,9 +99,14 @@ class NoiseSpectrum:
         """S(f) at the requested frequencies (Hz), held constant outside range;
         a numpy scalar for a scalar f_hz."""
         fq = np.asarray(f_hz, dtype=float)
-        if fq.min(initial=np.inf) <= 0.0:
+        # written so that NaN fails it as well
+        if not fq.min(initial=np.inf) > 0.0:
             raise DomainError("evaluation frequencies must be positive")
-        both = np.interp(np.log(fq), self._log_f, self._table)
+        return self._at_log(np.log(fq))
+
+    def _at_log(self, log_f):
+        """S at frequencies given by their natural log, unchecked."""
+        both = np.interp(log_f, self._log_f, self._table)
         # where a zero sample ends the segment (or is held), log S is NaN and
         # fmax takes the linear value; elsewhere the linear term is 0
         return np.fmax(np.exp(both.imag), both.real * np.isnan(both.imag))

@@ -31,6 +31,9 @@ from .errors import ConfigError, DomainError
 from .noise import POSITION, SPRING_FRACTIONAL, TWO_PI, NoiseSpectrum, psd_f_to_omega
 from .trap import AXES, FixedOccupation, ThermalOccupation, TrapConfig
 
+# distinct trap-frequency vectors whose spectra one TrapNoise keeps
+_MEMO_SIZE = 4
+
 
 @dataclass(frozen=True)
 class AxisRates:
@@ -67,6 +70,7 @@ class TrapNoise:
                 raise ConfigError(f"unknown axis {axis!r}")
             if spec.kind != POSITION:
                 raise ConfigError(f"position spectrum for {axis!r} has kind {spec.kind!r}")
+        self._memo = {}
 
     @classmethod
     def uniform(cls, spring: NoiseSpectrum | None = None,
@@ -97,14 +101,27 @@ class TrapNoise:
         return psd_f_to_omega(spec.evaluate(omega_rad_s / TWO_PI))
 
     def axis_spectra(self, omegas):
-        """(S_k(2 omega_q), S_x(omega_q)) per axis, as 3-vectors in angular
-        convention, for the axis trap frequencies omegas (rad/s).
+        """(S_k(2 omega_q), S_x(omega_q)) per axis, as read-only 3-vectors in
+        angular convention, for the axis trap frequencies omegas (rad/s).
 
         Each distinct spectrum is evaluated once, at every axis that shares it.
+        The pair is kept for up to 4 distinct omegas (all are dropped when a
+        fifth comes) and returned again, with the same bytes: it cannot go
+        stale, because a spectrum's lookup reads only the tables built when
+        the spectrum was constructed.
         """
         omegas = np.asarray(omegas, dtype=float)
-        return (self._per_axis(self._spring, "spring", 2.0 * omegas),
-                self._per_axis(self._position, "position", omegas))
+        key = (omegas.shape, omegas.tobytes())
+        pair = self._memo.get(key)
+        if pair is None:
+            pair = (self._per_axis(self._spring, "spring", 2.0 * omegas),
+                    self._per_axis(self._position, "position", omegas))
+            for a in pair:
+                a.flags.writeable = False
+            if len(self._memo) >= _MEMO_SIZE:
+                self._memo.clear()
+            self._memo[key] = pair
+        return pair
 
     def _per_axis(self, table, label, omegas):
         specs = [self._get(table, axis, label) for axis in AXES]

@@ -98,6 +98,22 @@ def test_spectrum_hold_nearest_outside():
         spec.evaluate(0.0)
 
 
+@pytest.mark.parametrize("f", [math.nan, [1.0, math.nan], [math.nan, 5.0]],
+                         ids=["scalar", "last", "first"])
+def test_spectrum_refuses_nan(f):
+    spec = NoiseSpectrum("spring_fractional", np.array([10.0, 100.0]), np.array([3e-11, 7e-13]))
+    with pytest.raises(DomainError):
+        spec.evaluate(f)
+
+
+def test_spectrum_holds_its_end_value_at_inf():
+    spec = NoiseSpectrum("spring_fractional", np.array([10.0, 100.0]), np.array([3e-11, 7e-13]))
+    # exp(log S) of the end sample, the same value as at any f past the range
+    assert spec.evaluate(math.inf) == spec.evaluate(1e5) == pytest.approx(7e-13, rel=1e-14)
+    assert spec.evaluate([1.0, math.inf]).tolist() == spec.evaluate([0.5, 1e5]).tolist()
+    assert spec.evaluate(np.array([])).shape == (0,)
+
+
 def test_spectrum_zero_samples():
     # log interpolation cannot cross zero; those segments fall back to
     # linear-in-psd against log f

@@ -1,6 +1,7 @@
 """Phonon jumping rates: single transitions, axis totals, thermal estimates."""
 
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from trapcoh import (
     thermal_probability,
     total_jump_rate,
 )
+from trapcoh import phonon
 from trapcoh.constants import BOLTZMANN, CS133_MASS, HBAR
 from trapcoh.trap import AXES, thermal_moments
 
@@ -162,6 +164,43 @@ def test_batched_axis_lookup_matches_per_axis_loop(shared):
                  + math.pi / (2.0 * HBAR ** 2) * mass * kt
                  * sum(w ** 2 * x for w, x in zip(cfg.omegas, s_x)))
     assert classical_thermal_rate(cfg, noise, 2e-5) == pytest.approx(classical, rel=1e-14)
+
+
+def test_axis_spectra_memo_keeps_the_bytes():
+    # one TrapNoise used for two traps in turn answers as a fresh one each time
+    noise = per_axis_noise(np.random.default_rng(21), shared=True)
+    traps = [TrapConfig.load_preset(p) for p in ("cs133", "bbt780")]
+    for k in range(6):
+        cfg = traps[k % 2]
+        fresh = TrapNoise(noise._spring, noise._position)
+        got, expect = noise.axis_spectra(cfg.omegas), fresh.axis_spectra(cfg.omegas)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+        dist = ThermalOccupation.from_temperature(2e-5, cfg)
+        occ = FixedOccupation(1, 4, 9)
+        assert thermal_average_pjr(cfg, noise, dist) == thermal_average_pjr(cfg, fresh, dist)
+        assert classical_thermal_rate(cfg, noise, 2e-5) == classical_thermal_rate(cfg, fresh, 2e-5)
+        assert total_jump_rate(cfg, noise, occ) == total_jump_rate(cfg, fresh, occ)
+    assert noise.axis_spectra(traps[0].omegas) is noise.axis_spectra(traps[0].omegas.copy())
+    # the key holds every axis: vectors that differ in one axis only
+    w = traps[0].omegas
+    for omegas in (w * [1.0, 1.0, 2.0], w * [2.0, 1.0, 1.0], w):
+        fresh = TrapNoise(noise._spring, noise._position)
+        assert [a.tobytes() for a in noise.axis_spectra(omegas)] == \
+            [a.tobytes() for a in fresh.axis_spectra(omegas)]
+    copy = pickle.loads(pickle.dumps(noise))
+    assert [a.tobytes() for a in copy.axis_spectra(traps[1].omegas)] == \
+        [a.tobytes() for a in noise.axis_spectra(traps[1].omegas)]
+
+
+def test_axis_spectra_memo_is_read_only_and_bounded():
+    noise = per_axis_noise(np.random.default_rng(22), shared=False)
+    omegas = TrapConfig.load_preset("cs133").omegas
+    for array in noise.axis_spectra(omegas):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    for k in range(100):
+        noise.axis_spectra(omegas * (1.0 + k / 1000.0))
+        assert 1 <= len(noise._memo) <= phonon._MEMO_SIZE == 4
 
 
 def test_batched_axis_lookup_missing_axis():

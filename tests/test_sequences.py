@@ -115,6 +115,13 @@ def test_filter_validation():
         filter_function(ramsey(0.8), -0.1)
 
 
+@pytest.mark.parametrize("f", [math.nan, [1.0, math.nan]], ids=["scalar", "array"])
+def test_filter_refuses_nan(f):
+    for seq in (ramsey(0.8), cpmg(4, 0.8), PulseSequence(1.0, (0.25,))):
+        with pytest.raises(DomainError):
+            filter_function(seq, f)
+
+
 def test_echo_known_zeros_and_peak():
     echo = spin_echo(0.8)
     # zeros where a full noise cycle fits in each half
@@ -312,6 +319,77 @@ def test_filtered_sigma_scaling():
 def test_filtered_sigma_refuses_bad_grid(kwargs):
     with pytest.raises(DomainError):
         filtered_sigma(cpmg(2, 0.8), low_frequency_spectrum(), **kwargs)
+
+
+@pytest.mark.parametrize("band", [(1e-4,), (1e-4, 1.0, 5.0), 1.0, (), ("low", 1.0), (None, 1.0)],
+                         ids=["one", "three", "scalar", "empty", "text", "none"])
+def test_filtered_sigma_refuses_band_not_two_numbers(band):
+    with pytest.raises(DomainError):
+        filtered_sigma(cpmg(2, 0.8), low_frequency_spectrum(), band=band)
+
+
+def udd(n, t_total):
+    """Uhrig's layout: pulses at T sin^2(pi j / (2 n + 2))."""
+    return PulseSequence(t_total, tuple(t_total * math.sin(math.pi * j / (2 * n + 2)) ** 2
+                                        for j in range(1, n + 1)))
+
+
+def spectrum_with_zero_sample():
+    return NoiseSpectrum("dls", np.array([1e-3, 0.05, 2.0, 40.0]),
+                         np.array([3.0, 0.0, 0.2, 1e-4]))
+
+
+@pytest.mark.parametrize("seq", [ramsey(0.8), spin_echo(0.8), cpmg(2, 0.8), cpmg(7, 0.03),
+                                 cpmg(20, 0.8), udd(8, 0.5), PulseSequence(1.0, (0.25,)),
+                                 ramsey(1e-300), cpmg(2, 5e-301)],
+                         ids=["ramsey", "echo", "cpmg2", "cpmg7", "cpmg20", "udd8", "lopsided",
+                              "ramsey_static", "cpmg_static"])
+@pytest.mark.parametrize("psd", [low_frequency_spectrum(), spectrum_with_zero_sample()],
+                         ids=["low_f", "zero_sample"])
+@pytest.mark.parametrize("band", [sequences.DEFAULT_BAND, (0.01, 5.0)], ids=["default", "cli"])
+def test_filtered_sigma_equals_trapezoid_of_filter(seq, psd, band):
+    # the cached grid and the direct closed form keep the bytes of the plain quadrature
+    n = max(math.ceil(math.log10(band[1] / band[0]) * 200), 16)
+    f = np.logspace(np.log10(band[0]), np.log10(band[1]), n)
+    var = np.trapezoid(filter_function(seq, f) * psd.evaluate(f), f)
+    for _ in range(2):
+        assert filtered_sigma(seq, psd, band=band) == math.sqrt(max(var, 0.0))
+
+
+def test_filtered_sigma_equals_trapezoid_on_random_cases():
+    rng = np.random.default_rng(18)
+    for k in range(300):
+        t_total = 10.0 ** rng.uniform(-4.0, 1.0)
+        n = int(rng.integers(1, 25))
+        seq = [ramsey(t_total), spin_echo(t_total), cpmg(n, t_total / n), udd(n, t_total)][k % 4]
+        f = np.unique(10.0 ** rng.uniform(-5.0, 4.0, int(rng.integers(1, 8))))
+        p = np.where(rng.random(f.size) < 0.3, 0.0, 10.0 ** rng.uniform(-8.0, 2.0, f.size))
+        psd = NoiseSpectrum("dls", f, p)
+        lo = 10.0 ** rng.uniform(-5.0, 2.0)
+        band, ppd = (lo, lo * 10.0 ** rng.uniform(0.01, 5.0)), rng.uniform(1.0, 400.0)
+        n_grid = max(math.ceil(math.log10(band[1] / band[0]) * ppd), 16)
+        grid = np.logspace(np.log10(band[0]), np.log10(band[1]), n_grid)
+        var = np.trapezoid(filter_function(seq, grid) * psd.evaluate(grid), grid)
+        assert filtered_sigma(seq, psd, band=band, points_per_decade=ppd) == math.sqrt(max(var, 0.0))
+
+
+def test_filtered_sigma_grid_cache():
+    info = sequences._grid.cache_info()
+    assert info.maxsize == 8
+    filtered_sigma(ramsey(0.8), low_frequency_spectrum())
+    for array in sequences._grid(*sequences.DEFAULT_BAND, 1400):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    psd = low_frequency_spectrum()
+    for k in range(100):
+        filtered_sigma(cpmg(3, 0.1), psd, band=(1e-3 * (1.0 + k / 100.0), 10.0))
+    assert sequences._grid.cache_info().currsize == info.maxsize
+    # a grid past 2^16 points is built per call and never held
+    misses = sequences._grid.cache_info().misses
+    filtered_sigma(cpmg(3, 0.1), psd, band=(1.0, 10.0), points_per_decade=70000)
+    info = sequences._grid.cache_info()
+    assert info.misses == misses and info.currsize == info.maxsize
 
 
 def test_filtered_sigma_ramsey_flat_band():

@@ -23,6 +23,7 @@ only when its pulses and total time equal, bit for bit, those cpmg()
 builds from tau = 2 * first pulse, so cpmg(), spin_echo(), a JSON round
 trip of either and `filter --cpmg` qualify. The general sum above handles
 any other layout (UDD, hand-edited times) and the static response at f = 0.
+Where (w T)^2 overflows, w = inf included, every layout has F = 0, its limit.
 
 A DLS frequency-noise PSD S(f) (units (rad/s)^2/Hz) filtered through a
 sequence gives the effective Gaussian channel width
@@ -47,6 +48,9 @@ TWO_PI = 2.0 * np.pi
 
 #: default integration band for filtered_sigma, Hz
 DEFAULT_BAND = (1e-4, 1e3)
+
+# np.iinfo costs microseconds a call
+_INTP_MAX = np.iinfo(np.intp).max
 
 
 @dataclass(frozen=True)
@@ -119,19 +123,40 @@ def _closed_form(seq: PulseSequence):
 
     def comb(w):
         x = w * tau
-        # [sin(n y) / sin y]^2 has period pi in y; reducing y to [-pi/2, pi/2]
-        # puts every comb peak at sin y == 0 exactly, where the ratio is n
-        y = 0.5 * (x - np.pi)
-        y -= np.pi * np.round(y / np.pi)
-        s = np.sin(y)
-        peak = s == 0.0
-        ratio = np.where(peak, float(n), np.sin(n * y) / np.where(peak, 1.0, s))
-        return 16.0 * np.sin(0.25 * x) ** 4 * ratio ** 2 / (w * t_tot) ** 2
+        # sin^4 by squaring twice, as `** 4` is a libm pow per point
+        out = np.sin(0.25 * x)
+        out *= out
+        out *= out
+        out *= 16.0
+        # for n = 1 the ratio sin(n y) / sin y is exactly 1
+        if n > 1:
+            # [sin(n y) / sin y]^2 has period pi in y; reducing y to [-pi/2, pi/2]
+            # puts every comb peak at sin y == 0 exactly, where the ratio is n
+            y = 0.5 * (x - np.pi)
+            y -= np.pi * np.round(y / np.pi)
+            s = np.sin(y)
+            ratio = np.sin(n * y)
+            # s.all() holds when no sin y is 0, nearly always: one division then
+            if s.all():
+                ratio /= s
+            else:
+                peak = s == 0.0
+                ratio = np.where(peak, float(n), ratio / np.where(peak, 1.0, s))
+            ratio *= ratio
+            out *= ratio
+        out /= (w * t_tot) ** 2
+        return out
     return comb
 
 
 def filter_function(seq: PulseSequence, f_hz):
-    """Normalized dephasing filter F(f) >= 0; F(0) is the static response."""
+    """Normalized dephasing filter F(f) >= 0; F(0) is the static response.
+
+    Where (w T)^2 underflows F is the static response, and where it overflows
+    (f = inf included) F is 0, with no numpy warning either way. The CPMG and
+    echo closed forms take sin^4 by squaring twice, so their values differ in
+    the last few digits from releases that took it with a power.
+    """
     f = np.asarray(f_hz, dtype=float)
     scalar = f.ndim == 0
     f = np.atleast_1d(f)
@@ -141,15 +166,21 @@ def filter_function(seq: PulseSequence, f_hz):
     edges = seq.boundaries()
     signs = seq.signs()
     t_tot = seq.t_total_s
-    omega = TWO_PI * f
+    with np.errstate(over="ignore", under="ignore"):
+        omega = TWO_PI * f
+        phase2 = (omega * t_tot) ** 2
     out = np.empty(f.shape)
     # frequencies whose squared phase accumulation underflows get the
     # static response, else the normalization divides by zero
-    zero = (omega * t_tot) ** 2 == 0.0
+    zero = phase2 == 0.0
     if np.any(zero):
         static = np.sum(signs * np.diff(edges)) / t_tot
         out[zero] = static ** 2
-    nz = ~zero
+    # where it overflows (w = inf included) every form is 0, its 1 / (w T)^2
+    # limit, else the normalization is inf / inf
+    far = phase2 == np.inf
+    out[far] = 0.0
+    nz = ~(zero | far)
     if np.any(nz):
         # rows are independent, so blocks of frequencies bound the temporaries
         # ((frequency x edge) ones for the general sum) without changing a byte
@@ -188,7 +219,10 @@ def sample_filter(seq: PulseSequence, f_hz) -> FilterCurve:
 def _grid(f_lo, f_hi, n):
     """filtered_sigma's grid: f, log f, w = 2 pi f and the steps of f, read-only."""
     f = np.logspace(np.log10(f_lo), np.log10(f_hi), n)
-    arrays = (f, np.log(f), TWO_PI * f, np.diff(f))
+    # 2 pi f may overflow to inf; filtered_sigma then takes filter_function
+    with np.errstate(over="ignore"):
+        omega = TWO_PI * f
+    arrays = (f, np.log(f), omega, np.diff(f))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -204,7 +238,8 @@ def filtered_sigma(seq: PulseSequence, dls_psd: NoiseSpectrum,
 
     The grids of the last 8 distinct (band, point count) pairs of at most
     2^16 points are cached read-only (f, log f, 2 pi f and the steps of f),
-    and a Ramsey or CPMG layout takes its closed form on the cached 2 pi f.
+    and a Ramsey or CPMG layout whose (w T)^2 neither underflows nor overflows
+    on the grid takes its closed form on the cached 2 pi f.
     The result keeps the bytes of np.trapezoid(filter_function(seq, f) *
     dls_psd.evaluate(f), f) with f = np.logspace of the band.
     """
@@ -219,15 +254,17 @@ def filtered_sigma(seq: PulseSequence, dls_psd: NoiseSpectrum,
     # in Python floats a band ratio or point count past the float range is inf,
     # not an error; numpy cannot index past intp either
     count = np.ceil(float(np.log10(f_hi / f_lo)) * float(points_per_decade))
-    if not count <= np.iinfo(np.intp).max:
+    if not count <= _INTP_MAX:
         raise DomainError("band and points_per_decade ask for more points than an array holds")
     n = max(int(count), 16)
     # larger grids are built per call, so the cache holds a few MB at most
     grid = _grid if n <= _BLOCK_ELEMENTS else _grid.__wrapped__
     f, log_f, omega, df = grid(f_lo, f_hi, n)
     closed = _closed_form(seq)
-    # the same test as filter_function's static response: (w T)^2 grows with w
-    if closed is not None and (omega[0] * seq.t_total_s) ** 2 != 0.0:
+    # filter_function's static response and overflow tests at the grid's ends, as
+    # (w T)^2 grows with w; Python floats overflow to inf without a numpy warning
+    w_lo, w_hi = float(omega[0]) * seq.t_total_s, float(omega[-1]) * seq.t_total_s
+    if closed is not None and w_lo * w_lo != 0.0 and w_hi * w_hi < np.inf:
         response = closed(omega)
     else:
         response = filter_function(seq, f)

@@ -548,8 +548,8 @@ NON_FINITE = {
     # the classical thermal rate squares k T / 2 past the float range
     "estimate_rates_temperature_1e300": ["estimate-rates", "--spring-psd", "rin_40db",
                                          "--temperature", "1e300"],
-    # the filter of a 1e300 s echo overflows
-    "filter_echo_1e300": ["filter", "--echo", "1e300", "--dls-psd", "rin_40db"],
+    # F S summed over the band overflows for a PSD near the float maximum
+    "filter_psd_1e308": ["filter", "--ramsey", "1.0", "--dls-psd", "huge_psd.json"],
 }
 
 
@@ -563,9 +563,36 @@ def test_non_finite_result_exit_3(argv, tmp_path, monkeypatch, capsys):
     config = io.read_preset("cs133")
     config["omega_z_rad_s"] = 1e120
     io.write_json(tmp_path / "huge_omega.json", config)
+    io.write_json(tmp_path / "huge_psd.json",
+                  {"kind": "dls", "samples": [[1e-4, 1e308], [1e3, 1e308]]})
     assert cli.main(argv) == 3
     assert assert_error_only(*capsys.readouterr())["kind"] == "non_finite"
-    assert os.listdir(tmp_path) == ["huge_omega.json"]
+    assert sorted(os.listdir(tmp_path)) == ["huge_omega.json", "huge_psd.json"]
+
+
+PAST_THE_FLOAT_RANGE = {
+    # (w T)^2 overflows on the whole band of a 1e300 s echo
+    "filter_echo_1e300": ["filter", "--echo", "1e300", "--dls-psd", "rin_40db"],
+    # 2 pi f overflows at the top point
+    "filter_ramsey_f_max_1e308": ["filter", "--ramsey", "0.8", "--f-min", "1",
+                                  "--f-max", "1e308", "--points", "3"],
+    # (w T)^2 overflows at the top point, w does not
+    "filter_cpmg_f_max_1e306": ["filter", "--cpmg", "4", "--interval", "0.1", "--f-min", "1",
+                                "--f-max", "1e306", "--points", "3"],
+}
+
+
+@pytest.mark.filterwarnings("error")  # numpy raises, it never warns
+@pytest.mark.parametrize("argv", PAST_THE_FLOAT_RANGE.values(), ids=PAST_THE_FLOAT_RANGE.keys())
+def test_filter_past_the_float_range_writes_zero(argv, tmp_path, capsys):
+    """Where (w T)^2 overflows, F is its limit 0: exit 0 with F = 0 written."""
+    assert cli.main([*argv, "--outdir", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    values = io.read_csv(tmp_path / "filter.csv", ("f_hz", "filter"))["filter"]
+    assert values[-1] == 0.0 and np.all(values >= 0.0)
+    # the echo's (w T)^2 overflows on its whole band
+    assert json.loads(out)["sigma_eff_rad_s"] in (None, 0.0)
 
 
 def test_simulate_underflowing_sigma(tmp_path, capsys):

@@ -219,20 +219,25 @@ def test_closed_form_detection(tmp_path):
 
 
 def exact_layout_filter(n, interval, f_hz):
-    """F of n pulses at (j - 1/2) tau, T = n tau, from the float tau, in 50 digits."""
+    """F of n pulses at (j - 1/2) tau, T = n tau, from the float tau, in 50 digits.
+
+    n = 0 is free precession over T = tau, the Ramsey layout.
+    """
     with mpmath.workdps(50):
         tau = mpmath.mpf(interval)
-        edges = [mpmath.mpf(0), *((j - mpmath.mpf(0.5)) * tau for j in range(1, n + 1)), n * tau]
+        t_total = max(n, 1) * tau
+        edges = [mpmath.mpf(0), *((j - mpmath.mpf(0.5)) * tau for j in range(1, n + 1)), t_total]
         out = []
         for f in f_hz:
             w = 2 * mpmath.pi * mpmath.mpf(float(f))
             amp = sum((-1) ** k * (mpmath.expj(w * b) - mpmath.expj(w * a))
                       for k, (a, b) in enumerate(zip(edges, edges[1:])))
-            out.append(float(abs(amp) ** 2 / (w * n * tau) ** 2))
+            out.append(float(abs(amp) ** 2 / (w * t_total) ** 2))
     return np.array(out)
 
 
-@pytest.mark.parametrize("n, interval", [(1, 0.5), (3, 0.5), (10, 0.01), (20, 0.8)])
+@pytest.mark.parametrize("n, interval", [(1, 0.5), (1, 1.0 / 3.0), (2, 0.3), (3, 0.5),
+                                         (10, 0.01), (20, 0.8)])
 def test_cpmg_closed_form_matches_50_digits(n, interval):
     # a log grid to 10 / tau, plus the comb's first 20 peaks (2k + 1) / (2 tau)
     # and first 20 zeros k / T
@@ -263,6 +268,79 @@ def test_closed_forms_are_finite_at_comb_peaks_and_zeros():
         assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
     first_peak = filter_function(cpmg(3, 0.5), 1.0)
     assert first_peak == pytest.approx(4.0 / math.pi ** 2, rel=1e-15)
+
+
+def assert_bulk_close(got, want):
+    """Relative 1e-10 wherever F is above 1e-10 of its largest value."""
+    bulk = want >= 1e-10 * want.max()
+    assert np.all(np.abs(got[bulk] - want[bulk]) <= 1e-10 * want[bulk])
+
+
+@pytest.mark.parametrize("n, interval", [(0, 0.8), (1, 0.8), (10, 0.08), (0, 0.5), (1, 0.5),
+                                         (3, 0.5), (10, 0.125)],
+                         ids=["ramsey", "echo", "cpmg10", "ramsey_pow2", "echo_pow2",
+                              "cpmg3_pow2", "cpmg10_pow2"])
+def test_closed_forms_raise_nothing_and_match_50_digits(n, interval):
+    # tau a power of two puts the grids below on comb peaks with sin y == 0 exactly:
+    # the peak grid at (2k - 1) / (2 tau), and the band from 1 / (2 tau), where
+    # np.logspace's first point is the band edge itself
+    seq = ramsey(interval) if n == 0 else cpmg(n, interval)
+    psd = spectrum_with_zero_sample()
+    k = np.arange(1, 40)
+    first_peak = 1.0 / (2.0 * interval)
+    default_grid = sequences._grid(*sequences.DEFAULT_BAND, 1400)[0]
+    peak_grid = np.concatenate(((2 * k - 1) * first_peak, k / seq.t_total_s))
+    bands = (sequences.DEFAULT_BAND, (first_peak, 64.0 * first_peak))
+    with np.errstate(all="raise"):
+        values = [filter_function(seq, f) for f in (default_grid, peak_grid)]
+        sigmas = [filtered_sigma(seq, psd, band=band) for band in bands]
+    for f, got in zip((default_grid, peak_grid), values):
+        assert_bulk_close(got, exact_layout_filter(n, interval, f))
+    for band, got in zip(bands, sigmas):
+        n_grid = math.ceil(math.log10(band[1] / band[0]) * 200)
+        f = np.logspace(np.log10(band[0]), np.log10(band[1]), n_grid)
+        assert f[0] == band[0]
+        want = math.sqrt(np.trapezoid(exact_layout_filter(n, interval, f) * psd.evaluate(f), f))
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+
+def phase_squared_overflows(seq, f):
+    """(2 pi f T)^2 past the float range, in Python floats, which overflow to inf."""
+    w_t = [2.0 * math.pi * float(v) * seq.t_total_s for v in f]
+    return np.array([v * v == math.inf for v in w_t])
+
+
+OVERFLOW_LAYOUTS = [ramsey(0.8), spin_echo(0.8), cpmg(3, 0.1), udd(8, 0.1),
+                    PulseSequence(1.0, (0.25,)), spin_echo(1e300)]
+OVERFLOW_IDS = ["ramsey", "echo", "cpmg3", "udd8", "lopsided", "echo_1e300"]
+
+
+@pytest.mark.parametrize("seq", OVERFLOW_LAYOUTS, ids=OVERFLOW_IDS)
+def test_filter_is_zero_where_phase_squared_overflows(seq):
+    f = np.array([0.0, 0.3, 1e100, 1e150, 1e154, 1e200, 1e306, 1e308, np.finfo(float).max,
+                  np.inf])
+    with np.errstate(all="raise", under="ignore"):
+        values = filter_function(seq, f)
+        at_inf = filter_function(seq, math.inf)
+    far = phase_squared_overflows(seq, f)
+    assert far[-1] and far.sum() >= 4
+    assert np.all(values[far] == 0.0) and at_inf == 0.0
+    # the other frequencies keep the bytes they have on their own
+    assert np.array_equal(values[~far], filter_function(seq, f[~far]))
+
+
+@pytest.mark.parametrize("seq", OVERFLOW_LAYOUTS, ids=OVERFLOW_IDS)
+@pytest.mark.parametrize("band", [(1e150, 1e160), (1e306, 1e308)],
+                         ids=["partly", "wholly"])
+def test_filtered_sigma_where_phase_squared_overflows(seq, band):
+    # the direct closed form and filter_function keep one rule: the trapezoid of F = 0
+    psd = spectrum_with_zero_sample()
+    n = max(math.ceil(math.log10(band[1] / band[0]) * 200), 16)
+    with np.errstate(all="raise", under="ignore"):
+        got = filtered_sigma(seq, psd, band=band)
+        f = np.logspace(np.log10(band[0]), np.log10(band[1]), n)
+        var = np.trapezoid(filter_function(seq, f) * psd.evaluate(f), f)
+    assert got == math.sqrt(max(var, 0.0))
 
 
 def test_filter_memory_bounded():

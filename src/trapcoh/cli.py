@@ -33,7 +33,7 @@ from .fitting import (_ramsey_from_decay, exponential, fit_coherence_decay,
 from .noise import NoiseSpectrum, TimeSeries, estimate_psd, relative_variance
 from .phonon import (TrapNoise, classical_thermal_rate, first_jump_survival_mc,
                      thermal_average_pjr, total_jump_rate)
-from .sequences import (FilterCurve, PulseSequence, cpmg, filtered_sigma, ramsey,
+from .sequences import (FilterCurve, PulseSequence, _log_grid, cpmg, filtered_sigma, ramsey,
                         sample_filter, spin_echo)
 from .trap import (FixedOccupation, ThermalOccupation, TrapConfig, dls_sigma,
                    thermal_average_dls_sigma)
@@ -217,8 +217,7 @@ def cmd_filter(args):
     if args.points < 1:
         raise DomainError("need at least one frequency point")
     seq = _build_sequence(args, inputs)
-    freqs = np.logspace(np.log10(args.f_min), np.log10(args.f_max), args.points)
-    curve = sample_filter(seq, freqs)
+    curve = sample_filter(seq, _log_grid(args.f_min, args.f_max, args.points))
     sigma_eff = None
     if args.dls_psd is not None:
         psd = _load(NoiseSpectrum, args.dls_psd, inputs)

@@ -22,8 +22,10 @@ ratio is n^2 at the comb peaks, where sin y = 0. A sequence takes the CPMG form
 only when its pulses and total time equal, bit for bit, those cpmg()
 builds from tau = 2 * first pulse, so cpmg(), spin_echo(), a JSON round
 trip of either and `filter --cpmg` qualify. The general sum above handles
-any other layout (UDD, hand-edited times) and the static response at f = 0.
-Where (w T)^2 overflows, w = inf included, every layout has F = 0, its limit.
+any other layout (UDD, hand-edited times). Where (w T)^2 underflows, f = 0
+included, F is the static response; where it overflows, w = inf included,
+every layout has F = 0, its limit. filter_function and filtered_sigma share
+one routine from w to F that makes these choices.
 
 A DLS frequency-noise PSD S(f) (units (rad/s)^2/Hz) filtered through a
 sequence gives the effective Gaussian channel width
@@ -34,6 +36,7 @@ sequence gives the effective Gaussian channel width
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +45,7 @@ from . import io
 from .coherence import DecayParams, coherence
 from .constants import _BLOCK_ELEMENTS
 from .errors import DomainError
-from .noise import NoiseSpectrum
-
-TWO_PI = 2.0 * np.pi
+from .noise import TWO_PI, NoiseSpectrum
 
 #: default integration band for filtered_sigma, Hz
 DEFAULT_BAND = (1e-4, 1e3)
@@ -112,7 +113,7 @@ def cpmg(n_pulses, interval_s) -> PulseSequence:
 
 
 def _closed_form(seq: PulseSequence):
-    """F(w) at w != 0 for the Ramsey and CPMG layouts; None for any other layout."""
+    """F(w) where 0 < (w T)^2 < inf for the Ramsey and CPMG layouts; None for others."""
     n, t_tot = seq.n_pulses, seq.t_total_s
     if n == 0:
         return lambda w: 4.0 * np.sin(0.5 * w * t_tot) ** 2 / (w * t_tot) ** 2
@@ -135,13 +136,7 @@ def _closed_form(seq: PulseSequence):
             y = 0.5 * (x - np.pi)
             y -= np.pi * np.round(y / np.pi)
             s = np.sin(y)
-            ratio = np.sin(n * y)
-            # s.all() holds when no sin y is 0, nearly always: one division then
-            if s.all():
-                ratio /= s
-            else:
-                peak = s == 0.0
-                ratio = np.where(peak, float(n), ratio / np.where(peak, 1.0, s))
+            ratio = np.divide(np.sin(n * y), s, out=np.full(s.shape, float(n)), where=s != 0.0)
             ratio *= ratio
             out *= ratio
         out /= (w * t_tot) ** 2
@@ -149,8 +144,41 @@ def _closed_form(seq: PulseSequence):
     return comb
 
 
+@np.errstate(all="ignore")
+def _response(seq: PulseSequence, w):
+    """F at the 1-D angular frequencies w >= 0, with no numpy warning."""
+    form = _closed_form(seq)
+    rows = _BLOCK_ELEMENTS
+    if form is None:
+        edges, signs = seq.boundaries(), seq.signs()
+        rows = max(1, rows // edges.size)
+
+        def form(wb):
+            phases = np.exp(1j * wb[:, None] * edges[None, :])
+            amp = np.sum(signs[None, :] * np.diff(phases, axis=1), axis=1)
+            return np.abs(amp) ** 2 / (wb * seq.t_total_s) ** 2
+    # rows are independent, so blocks of frequencies bound the temporaries
+    # ((frequency x edge) ones for the general sum) without changing a byte;
+    # one block, the common case, is returned without a copy
+    if w.size <= rows:
+        out = form(w)
+    else:
+        out = np.empty(w.size)
+        for lo in range(0, w.size, rows):
+            out[lo:lo + rows] = form(w[lo:lo + rows])
+    # a row is non-finite only where (w T)^2 is 0 (x / 0) or overflows with a
+    # sine of inf; a finite row whose (w T)^2 overflows is already 0, its limit.
+    # F is in [0, 1] up to rounding, so a finite sum means no mask is needed
+    if not math.isfinite(out.sum()):
+        phase2 = (w * seq.t_total_s) ** 2
+        out[phase2 == 0.0] = (np.sum(seq.signs() * np.diff(seq.boundaries()))
+                              / seq.t_total_s) ** 2
+        out[phase2 == np.inf] = 0.0
+    return out
+
+
 def filter_function(seq: PulseSequence, f_hz):
-    """Normalized dephasing filter F(f) >= 0; F(0) is the static response.
+    """Normalized dephasing filter F(f) >= 0, of f's shape; F(0) is the static response.
 
     Where (w T)^2 underflows F is the static response, and where it overflows
     (f = inf included) F is 0, with no numpy warning either way. The CPMG and
@@ -158,46 +186,13 @@ def filter_function(seq: PulseSequence, f_hz):
     the last few digits from releases that took it with a power.
     """
     f = np.asarray(f_hz, dtype=float)
-    scalar = f.ndim == 0
-    f = np.atleast_1d(f)
     # written so that NaN fails it as well
     if not f.min(initial=np.inf) >= 0.0:
         raise DomainError("frequencies must be nonnegative")
-    edges = seq.boundaries()
-    signs = seq.signs()
-    t_tot = seq.t_total_s
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore"):
         omega = TWO_PI * f
-        phase2 = (omega * t_tot) ** 2
-    out = np.empty(f.shape)
-    # frequencies whose squared phase accumulation underflows get the
-    # static response, else the normalization divides by zero
-    zero = phase2 == 0.0
-    if np.any(zero):
-        static = np.sum(signs * np.diff(edges)) / t_tot
-        out[zero] = static ** 2
-    # where it overflows (w = inf included) every form is 0, its 1 / (w T)^2
-    # limit, else the normalization is inf / inf
-    far = phase2 == np.inf
-    out[far] = 0.0
-    nz = ~(zero | far)
-    if np.any(nz):
-        # rows are independent, so blocks of frequencies bound the temporaries
-        # ((frequency x edge) ones for the general sum) without changing a byte
-        w = omega[nz]
-        values = np.empty(w.size)
-        closed = _closed_form(seq)
-        rows = _BLOCK_ELEMENTS if closed else max(1, _BLOCK_ELEMENTS // edges.size)
-        for lo in range(0, w.size, rows):
-            wb = w[lo:lo + rows]
-            if closed:
-                values[lo:lo + rows] = closed(wb)
-                continue
-            phases = np.exp(1j * wb[:, None] * edges[None, :])
-            amp = np.sum(signs[None, :] * np.diff(phases, axis=1), axis=1)
-            values[lo:lo + rows] = np.abs(amp) ** 2 / (wb * t_tot) ** 2
-        out[nz] = values
-    return float(out[0]) if scalar else out
+    out = _response(seq, omega.ravel()).reshape(f.shape)
+    return float(out) if f.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -215,14 +210,23 @@ def sample_filter(seq: PulseSequence, f_hz) -> FilterCurve:
     return FilterCurve(f, filter_function(seq, f))
 
 
+def _log_grid(f_lo, f_hi, n):
+    """np.logspace of the band, with f_hi for a point whose 10^log10 rounds to inf."""
+    with np.errstate(over="ignore"):
+        f = np.logspace(np.log10(f_lo), np.log10(f_hi), n)
+    # not a clamp: logspace may overshoot a finite f_hi, and those bytes stay
+    f[f == np.inf] = f_hi
+    return f
+
+
 @functools.lru_cache(maxsize=8)
 def _grid(f_lo, f_hi, n):
-    """filtered_sigma's grid: f, log f, w = 2 pi f and the steps of f, read-only."""
-    f = np.logspace(np.log10(f_lo), np.log10(f_hi), n)
-    # 2 pi f may overflow to inf; filtered_sigma then takes filter_function
+    """filtered_sigma's grid: log f, w = 2 pi f and the steps of f, read-only."""
+    f = _log_grid(f_lo, f_hi, n)
+    # 2 pi f may overflow to inf, where F is 0
     with np.errstate(over="ignore"):
         omega = TWO_PI * f
-    arrays = (f, np.log(f), omega, np.diff(f))
+    arrays = (np.log(f), omega, np.diff(f))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -237,11 +241,11 @@ def filtered_sigma(seq: PulseSequence, dls_psd: NoiseSpectrum,
     here). Trapezoidal integration on a log-spaced grid.
 
     The grids of the last 8 distinct (band, point count) pairs of at most
-    2^16 points are cached read-only (f, log f, 2 pi f and the steps of f),
-    and a Ramsey or CPMG layout whose (w T)^2 neither underflows nor overflows
-    on the grid takes its closed form on the cached 2 pi f.
+    2^16 points are cached read-only (log f, 2 pi f and the steps of f),
+    and F comes from filter_function's own routine on the cached 2 pi f.
     The result keeps the bytes of np.trapezoid(filter_function(seq, f) *
-    dls_psd.evaluate(f), f) with f = np.logspace of the band.
+    dls_psd.evaluate(f), f) with f = np.logspace of the band, whose top point
+    is f_max where 10^log10(f_max) overflows.
     """
     try:
         f_lo, f_hi = (float(edge) for edge in band)
@@ -259,16 +263,8 @@ def filtered_sigma(seq: PulseSequence, dls_psd: NoiseSpectrum,
     n = max(int(count), 16)
     # larger grids are built per call, so the cache holds a few MB at most
     grid = _grid if n <= _BLOCK_ELEMENTS else _grid.__wrapped__
-    f, log_f, omega, df = grid(f_lo, f_hi, n)
-    closed = _closed_form(seq)
-    # filter_function's static response and overflow tests at the grid's ends, as
-    # (w T)^2 grows with w; Python floats overflow to inf without a numpy warning
-    w_lo, w_hi = float(omega[0]) * seq.t_total_s, float(omega[-1]) * seq.t_total_s
-    if closed is not None and w_lo * w_lo != 0.0 and w_hi * w_hi < np.inf:
-        response = closed(omega)
-    else:
-        response = filter_function(seq, f)
-    y = response * dls_psd._at_log(log_f)
+    log_f, omega, df = grid(f_lo, f_hi, n)
+    y = _response(seq, omega) * dls_psd._at_log(log_f)
     # np.trapezoid's own sum
     var = (df * (y[1:] + y[:-1]) / 2.0).sum()
     return float(np.sqrt(max(var, 0.0)))

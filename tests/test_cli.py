@@ -579,6 +579,11 @@ PAST_THE_FLOAT_RANGE = {
     # (w T)^2 overflows at the top point, w does not
     "filter_cpmg_f_max_1e306": ["filter", "--cpmg", "4", "--interval", "0.1", "--f-min", "1",
                                 "--f-max", "1e306", "--points", "3"],
+    # 10^log10(f_max) overflows at the largest float: the top point is f_max itself
+    "filter_ramsey_f_max_float_max": ["filter", "--ramsey", "0.8", "--f-min", "1",
+                                      "--f-max", "1.7976931348623157e308", "--points", "3"],
+    "filter_psd_f_max_float_max": ["filter", "--ramsey", "0.8", "--f-min", "1e306",
+                                   "--f-max", "1.7976931348623157e308", "--dls-psd", "rin_40db"],
 }
 
 

@@ -288,7 +288,7 @@ def test_closed_forms_raise_nothing_and_match_50_digits(n, interval):
     psd = spectrum_with_zero_sample()
     k = np.arange(1, 40)
     first_peak = 1.0 / (2.0 * interval)
-    default_grid = sequences._grid(*sequences.DEFAULT_BAND, 1400)[0]
+    default_grid = sequences._log_grid(*sequences.DEFAULT_BAND, 1400)
     peak_grid = np.concatenate(((2 * k - 1) * first_peak, k / seq.t_total_s))
     bands = (sequences.DEFAULT_BAND, (first_peak, 64.0 * first_peak))
     with np.errstate(all="raise"):
@@ -329,31 +329,64 @@ def test_filter_is_zero_where_phase_squared_overflows(seq):
     assert np.array_equal(values[~far], filter_function(seq, f[~far]))
 
 
+FLOAT_MAX = np.finfo(float).max
+
+
+@pytest.mark.filterwarnings("error")  # numpy raises, it never warns
+def test_log_grid_tops_out_at_the_float_max():
+    # 10^log10(f_max) rounds to inf at the largest float: that point becomes f_max
+    f = sequences._log_grid(1.0, FLOAT_MAX, 3)
+    with np.errstate(over="ignore"):
+        plain = np.logspace(0.0, np.log10(FLOAT_MAX), 3)
+    assert plain[-1] == np.inf and f[-1] == FLOAT_MAX
+    assert np.array_equal(f[:-1], plain[:-1])
+    # not a clamp: a finite overshoot of f_max keeps np.logspace's bytes
+    f = sequences._log_grid(0.01, 5.0, 200)
+    assert f[-1] > 5.0 and np.array_equal(f, np.logspace(-2.0, np.log10(5.0), 200))
+
+
+@pytest.mark.filterwarnings("error")  # numpy raises, it never warns
 @pytest.mark.parametrize("seq", OVERFLOW_LAYOUTS, ids=OVERFLOW_IDS)
-@pytest.mark.parametrize("band", [(1e150, 1e160), (1e306, 1e308)],
-                         ids=["partly", "wholly"])
+@pytest.mark.parametrize("band", [(1e150, 1e160), (1e306, 1e308), (1e306, FLOAT_MAX),
+                                  (1.0, FLOAT_MAX)],
+                         ids=["partly", "wholly", "float_max", "wide_float_max"])
 def test_filtered_sigma_where_phase_squared_overflows(seq, band):
-    # the direct closed form and filter_function keep one rule: the trapezoid of F = 0
+    # filtered_sigma and filter_function keep one rule: the trapezoid of F = 0, on a
+    # grid whose top point is f_max where 10^log10(f_max) overflows
     psd = spectrum_with_zero_sample()
     n = max(math.ceil(math.log10(band[1] / band[0]) * 200), 16)
     with np.errstate(all="raise", under="ignore"):
         got = filtered_sigma(seq, psd, band=band)
-        f = np.logspace(np.log10(band[0]), np.log10(band[1]), n)
+        f = sequences._log_grid(*band, n)
         var = np.trapezoid(filter_function(seq, f) * psd.evaluate(f), f)
-    assert got == math.sqrt(max(var, 0.0))
+    assert math.isfinite(got) and got == math.sqrt(max(var, 0.0))
+
+
+@pytest.mark.parametrize("seq", [ramsey(0.8), cpmg(3, 0.1), PulseSequence(1.0, (0.1, 0.25))],
+                         ids=["ramsey", "cpmg3", "lopsided2"])
+def test_filter_keeps_the_shape_of_nd_input(seq):
+    # static (0, and 1e-310 where (w T)^2 underflows), overflowing and ordinary cells
+    f = np.array([[0.0, 0.3, np.inf], [1e-4, 7.0, 1e200], [2.5, 0.0, 1e3],
+                  [np.inf, 1e-310, 40.0]])
+    values = filter_function(seq, f)
+    assert values.shape == f.shape
+    assert np.array_equal(values.ravel(), filter_function(seq, f.ravel()))
+    assert np.array_equal(values, [[filter_function(seq, v) for v in row] for row in f])
+    assert np.array_equal(filter_function(seq, f.T), values.T)
+    assert np.array_equal(filter_function(seq, f.reshape(2, 2, 3)), values.reshape(2, 2, 3))
 
 
 def test_filter_memory_bounded():
-    # CPMG-10 on 200,000 frequencies: 38 MB for each whole-array temporary
+    # 200,000 frequencies: 38 MB for UDD-10's whole (frequency x edge) temporary
     f = np.linspace(0.0, 1e3, 200_000)
-    seq = cpmg(10, 0.1)
-    tracemalloc.start()
-    try:
-        filter_function(seq, f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    for seq in (cpmg(10, 0.1), udd(10, 0.1)):
+        tracemalloc.start()
+        try:
+            filter_function(seq, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 def test_filter_curve_round_trip(tmp_path):

@@ -10,7 +10,6 @@ import math
 # exact by SI definition
 BOLTZMANN = 1.380649e-23            # J/K
 SPEED_OF_LIGHT = 299792458.0        # m/s
-PLANCK = 6.62607015e-34             # J s
 HBAR = 1.05457181765e-34            # J s, h/(2 pi)
 
 ATOMIC_MASS = 1.66053906660e-27     # kg, CODATA 2018
@@ -20,7 +19,6 @@ CS133_MASS = 132.905451961 * ATOMIC_MASS                 # kg
 CS_HYPERFINE_SPLITTING = 2.0 * math.pi * 9192631770.0    # rad/s, exact (SI second)
 CS_D1_WAVELENGTH = 894.59295986e-9   # m, 6S1/2 -> 6P1/2
 CS_D2_WAVELENGTH = 852.34727582e-9   # m, 6S1/2 -> 6P3/2
-CS_D1_LINEWIDTH = 2.0 * math.pi * 4.5612e6   # rad/s
 CS_D2_LINEWIDTH = 2.0 * math.pi * 5.2227e6   # rad/s
 
 # relative line strengths of the two D lines for the ground-state scalar

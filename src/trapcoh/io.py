@@ -11,7 +11,6 @@ and an output that cannot be written is ``output_error``.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -58,6 +57,7 @@ def resolve(value):
     ``preset:<name>``), and their digest. Digest and parse use the same
     bytes, so an input is never hashed before it is loaded.
     """
+    import hashlib  # here, so that only the commands that hash inputs import it
     if os.path.exists(value):
         data, key = _read(value), str(value)
     else:

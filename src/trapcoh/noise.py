@@ -8,6 +8,7 @@ S(omega) = S(f) / (2 pi); that conversion happens in exactly one place,
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,7 +98,12 @@ class NoiseSpectrum:
 
     def evaluate(self, f_hz):
         """S(f) at the requested frequencies (Hz), held constant outside range;
-        a numpy scalar for a scalar f_hz."""
+        a numpy scalar for a scalar f_hz (on Python floats for a float or
+        np.float64, with the bytes of the array path)."""
+        if isinstance(f_hz, float):
+            if not f_hz > 0.0:  # NaN fails it as well
+                raise DomainError("evaluation frequencies must be positive")
+            return self._at_log_scalar(float(np.log(f_hz)))
         fq = np.asarray(f_hz, dtype=float)
         # written so that NaN fails it as well
         if not fq.min(initial=np.inf) > 0.0:
@@ -110,6 +116,22 @@ class NoiseSpectrum:
         # where a zero sample ends the segment (or is held), log S is NaN and
         # fmax takes the linear value; elsewhere the linear term is 0
         return np.fmax(np.exp(both.imag), both.real * np.isnan(both.imag))
+
+    def _at_log_scalar(self, x):
+        """_at_log for one float x, as np.interp and fmax compute it: a knot's
+        sample on or beyond it, else per part dy * (1 / dx) * (x - x0) + y0
+        (np.interp's retry of a NaN part would be NaN too: the samples are
+        finite); S is the linear part where log S is NaN, else exp(log S)."""
+        j = bisect_right(self._log_f, x)
+        if j == 0 or j == self._log_f.size or self._log_f.item(j - 1) == x:
+            both = self._table.item(max(j - 1, 0))
+        else:
+            x0 = self._log_f.item(j - 1)
+            inv_dx = 1.0 / (self._log_f.item(j) - x0)
+            y0, y1 = self._table.item(j - 1), self._table.item(j)
+            both = complex((y1.real - y0.real) * inv_dx * (x - x0) + y0.real,
+                           (y1.imag - y0.imag) * inv_dx * (x - x0) + y0.imag)
+        return np.float64(both.real) if both.imag != both.imag else np.exp(both.imag)
 
     def scaled(self, factor):
         """Same spectrum with all PSD values multiplied by factor >= 0."""

@@ -170,11 +170,20 @@ def axis_jump_rate(omega_rad_s, mass_kg, s_k_omega, s_x_omega, n) -> float:
     return intensity + pointing
 
 
+def _axis_floats(cfg: TrapConfig, noise: TrapNoise, numbers):
+    """Per axis (omega, omega**3, S_k(2 omega), S_x(omega), n) as Python floats, for
+    loops with numpy's bytes (thermal_average_dls_sigma); the cube is numpy's, not libm's."""
+    omegas = cfg.omegas
+    s_k, s_x = noise.axis_spectra(omegas)
+    return zip(omegas.tolist(), (omegas ** 3).tolist(), s_k.tolist(), s_x.tolist(), numbers)
+
+
 def total_jump_rate(cfg: TrapConfig, noise: TrapNoise, occ: FixedOccupation) -> AxisRates:
-    """Per-axis leaving rates at fixed phonon numbers."""
-    s_k, s_x = noise.axis_spectra(cfg.omegas)
-    rates = axis_jump_rate(cfg.omegas, cfg.species.mass_kg, s_k, s_x, occ.numbers)
-    return AxisRates(*rates.tolist())
+    """Per-axis leaving rates at fixed phonon numbers (axis_jump_rate)."""
+    c = math.pi / (2.0 * HBAR) * cfg.species.mass_kg
+    axes = _axis_floats(cfg, noise, (occ.n_x, occ.n_y, occ.n_z))
+    return AxisRates(*[math.pi * (w * w) / 8.0 * sk * ((n + 1.0) * (n + 1.0) - n)
+                       + c * w3 * sx * (2.0 * n + 1.0) for w, w3, sk, sx, n in axes])
 
 
 def classical_thermal_rate(cfg: TrapConfig, noise: TrapNoise, temperature_k) -> float:
@@ -194,9 +203,14 @@ def classical_thermal_rate(cfg: TrapConfig, noise: TrapNoise, temperature_k) -> 
     if not temperature_k > 0.0:
         raise DomainError("temperature must be positive")
     kt = BOLTZMANN * temperature_k
-    s_k, s_x = noise.axis_spectra(cfg.omegas)
-    intensity = math.pi / (8.0 * HBAR ** 2) * (kt / 2.0) ** 2 * s_k.sum()
-    pointing = math.pi / (2.0 * HBAR ** 2) * cfg.species.mass_kg * kt * (cfg.omegas ** 2 * s_x).sum()
+    omegas = cfg.omegas
+    s_k, s_x = noise.axis_spectra(omegas)
+    sum_k = sum_x = 0.0
+    for w, sk, sx in zip(omegas.tolist(), s_k.tolist(), s_x.tolist()):
+        sum_k += sk
+        sum_x += w * w * sx
+    intensity = math.pi / (8.0 * HBAR ** 2) * (kt / 2.0) ** 2 * sum_k
+    pointing = math.pi / (2.0 * HBAR ** 2) * cfg.species.mass_kg * kt * sum_x
     return intensity + pointing
 
 
@@ -206,16 +220,16 @@ def thermal_average_pjr(cfg: TrapConfig, noise: TrapNoise, dist: ThermalOccupati
     The rate is additive across axes and polynomial in each n_q, so the
     probability-weighted sum over the product distribution reduces to the
     per-axis moments E[n] = nbar and E[n^2] = 2 nbar^2 + nbar of the
-    geometric distribution (thermal_moments), taken as 3-vectors over the
-    axes: E[(n+1)^2 - n] = E[n^2] + E[n] + 1 and E[2n + 1] = 2 E[n] + 1.
+    geometric distribution (thermal_moments):
+    E[(n+1)^2 - n] = E[n^2] + E[n] + 1 and E[2n + 1] = 2 E[n] + 1.
     """
-    s_k, s_x = noise.axis_spectra(cfg.omegas)
-    omega, m1 = cfg.omegas, dist.means
-    m2 = 2.0 * m1 * m1 + m1
-    intensity = math.pi * omega ** 2 / 8.0 * s_k * (m2 + m1 + 1.0)
-    pointing = (math.pi / (2.0 * HBAR) * cfg.species.mass_kg * omega ** 3
-                * s_x * (2.0 * m1 + 1.0))
-    return (intensity + pointing).sum()
+    c = math.pi / (2.0 * HBAR) * cfg.species.mass_kg
+    total = 0.0
+    for w, w3, sk, sx, m1 in _axis_floats(cfg, noise, (dist.nbar_x, dist.nbar_y, dist.nbar_z)):
+        m2 = 2.0 * m1 * m1 + m1
+        total += (math.pi * (w * w) / 8.0 * sk * (m2 + m1 + 1.0)
+                  + c * w3 * sx * (2.0 * m1 + 1.0))
+    return total
 
 
 def survival_probability(rate, t):

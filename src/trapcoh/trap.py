@@ -142,8 +142,7 @@ class FixedOccupation:
     n_z: int
 
     def __post_init__(self):
-        for ax in AXES:
-            n = getattr(self, f"n_{ax}")
+        for n in (self.n_x, self.n_y, self.n_z):
             if int(n) != n or n < 0:
                 raise DomainError("phonon numbers must be nonnegative integers")
 
@@ -161,8 +160,8 @@ class ThermalOccupation:
     nbar_z: float
 
     def __post_init__(self):
-        for ax in AXES:
-            if not 0.0 <= getattr(self, f"nbar_{ax}") < math.inf:
+        for nbar in (self.nbar_x, self.nbar_y, self.nbar_z):
+            if not 0.0 <= nbar < math.inf:
                 raise DomainError("mean phonon numbers must be nonnegative and finite")
 
     @property
@@ -171,8 +170,8 @@ class ThermalOccupation:
 
     @classmethod
     def from_temperature(cls, temperature_k, cfg: TrapConfig):
-        nb = [mean_phonon_number(temperature_k, w) for w in cfg.omegas]
-        return cls(*nb)
+        return cls(*(mean_phonon_number(temperature_k, w)
+                     for w in (cfg.omega_x_rad_s, cfg.omega_y_rad_s, cfg.omega_z_rad_s)))
 
 
 def eta_from_detuning(omega_hfs, detuning):
@@ -230,7 +229,8 @@ def dls_mean(cfg: TrapConfig, occ: FixedOccupation) -> float:
 
 def dls_sigma(cfg: TrapConfig, occ: FixedOccupation) -> float:
     """Signed DLS spread (rad/s) from the trap-power spread, fixed phonons."""
-    phonon = np.sum((occ.numbers + 0.5) * cfg.omegas)
+    phonon = (0.0 + (occ.n_x + 0.5) * cfg.omega_x_rad_s + (occ.n_y + 0.5) * cfg.omega_y_rad_s
+              + (occ.n_z + 0.5) * cfg.omega_z_rad_s)  # as np.sum (thermal_average_dls_sigma)
     core = -cfg.eta * cfg.u0_joule / constants.HBAR + 0.25 * cfg.eta * phonon
     return float(core * cfg.relative_power_spread)
 
@@ -272,12 +272,18 @@ def thermal_average_dls_sigma(cfg: TrapConfig, dist: ThermalOccupation) -> float
     dls_sigma is affine in the per-axis phonon numbers, so the average of
     its square reduces to the per-axis means nbar and variances
     nbar (nbar + 1) of the geometric distribution.
+
+    Looping over the axes on Python floats keeps the bytes of numpy on
+    3-vectors: sums run from 0.0 over x, y, z, and a square is a product.
     """
     rel = cfg.relative_power_spread
+    wx, wy, wz = cfg.omega_x_rad_s, cfg.omega_y_rad_s, cfg.omega_z_rad_s
     base = rel * (-cfg.eta * cfg.u0_joule / constants.HBAR
-                  + 0.125 * cfg.eta * np.sum(cfg.omegas))
-    slope = rel * 0.25 * cfg.eta * cfg.omegas  # per-axis coefficient of n_q
-    nbar = dist.means
-    var_n = nbar * (nbar + 1.0)
-    mean_sigma = base + np.sum(slope * nbar)
-    return float(math.sqrt(mean_sigma ** 2 + np.sum(slope ** 2 * var_n)))
+                  + 0.125 * cfg.eta * (wx + wy + wz))
+    mean_sigma = var_sigma = 0.0
+    for w, nbar in zip((wx, wy, wz), (dist.nbar_x, dist.nbar_y, dist.nbar_z)):
+        slope = rel * 0.25 * cfg.eta * w  # per-axis coefficient of n_q
+        mean_sigma += slope * nbar
+        var_sigma += slope * slope * (nbar * (nbar + 1.0))
+    # ** 2 calls libm pow, as numpy does for a scalar; it differs from x * x
+    return math.sqrt((base + mean_sigma) ** 2 + var_sigma)

@@ -43,6 +43,14 @@ def test_import_cli_leaves_importlib_metadata_out():
     assert json.loads(run_python(code)) is False
 
 
+def test_import_leaves_hashlib_out():
+    # io.resolve imports it for the commands that hash their inputs
+    code = ("import json, sys\n"
+            "import trapcoh.cli\n"
+            "json.dump('hashlib' in sys.modules, sys.stderr)\n")
+    assert json.loads(run_python(code)) is False
+
+
 def test_psd_command_imports_no_scipy(tmp_path):
     data = tmp_path / "power.csv"
     io.write_csv(data, ("t_s", "power_w"), np.arange(256) / 1e3,

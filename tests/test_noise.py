@@ -157,6 +157,8 @@ def test_spectrum_evaluate_matches_reference():
         p[rng.random(n) < 0.3] = 0.0
         spectra.append(NoiseSpectrum("spring_fractional", f, p))
     kinds = set()
+    knots_by_zero = 0
+    # NoiseSpectrum.zero() first, then the random spectra
     for spec in spectra:
         f, p = spec.frequencies_hz, spec.psd
         # every sample, one point below and one above the range, random points
@@ -166,10 +168,23 @@ def test_spectrum_evaluate_matches_reference():
             want, scale, kind = loglog_reference(f.tolist(), p.tolist(), float(q))
             assert abs(got - want) <= 1e-13 * scale, (f, p, q)
             kinds.add(kind)
-            one = spec.evaluate(float(q))
-            assert isinstance(one, np.float64) and one == spec.evaluate(np.array([q]))[0]
+        # a float or np.float64 query takes the scalar branch, which must give
+        # the bytes of the array path, for one query or many; inf holds the
+        # last sample
+        queries = np.append(queries, np.inf)
+        for q, got in zip(queries, spec.evaluate(queries)):
+            for one in (spec.evaluate(float(q)), spec.evaluate(np.float64(q))):
+                assert type(one) is np.float64
+                assert one.tobytes() == got.tobytes(), (f, p, q)
+                assert one.tobytes() == spec.evaluate(np.array([q]))[0].tobytes(), (f, p, q)
+        # samples are queried exactly, so every knot next to a zero sample is
+        knots_by_zero += sum((i > 0 and p[i - 1] == 0.0) or (i + 1 < p.size and p[i + 1] == 0.0)
+                             for i in range(p.size))
     assert kinds == {"hold", "loglog", "zero-ended"}
-    for bad in (0.0, -1.0, np.array([1.0, 0.0])):
+    assert knots_by_zero > 0
+    assert spectra[0].evaluate(np.inf) == 0.0
+    for bad in (0.0, -1.0, math.nan, -math.inf, np.float64(0.0), np.float64(math.nan),
+                np.array([1.0, 0.0])):
         with pytest.raises(DomainError):
             spectra[1].evaluate(bad)
 

@@ -118,10 +118,10 @@ class NoiseSpectrum:
         return np.fmax(np.exp(both.imag), both.real * np.isnan(both.imag))
 
     def _at_log_scalar(self, x):
-        """_at_log for one float x, as np.interp and fmax compute it: a knot's
-        sample on or beyond it, else per part dy * (1 / dx) * (x - x0) + y0
-        (np.interp's retry of a NaN part would be NaN too: the samples are
-        finite); S is the linear part where log S is NaN, else exp(log S)."""
+        """_at_log for one float x, as np.interp and fmax compute it: the end
+        sample beyond the knots, a knot's sample on it, else per part
+        dy * (1 / dx) * (x - x0) + y0 (np.interp's retry of a NaN part is NaN
+        too: samples are finite); the linear part where log S is NaN."""
         j = bisect_right(self._log_f, x)
         if j == 0 or j == self._log_f.size or self._log_f.item(j - 1) == x:
             both = self._table.item(max(j - 1, 0))

@@ -10,14 +10,14 @@ Values from a config file are defaults; command-line flags override
 them. The default output directory is taken from the TRAPCOH_OUTDIR
 environment variable when set. Each command computes first; main
 writes its files only once every text is built, so a command that
-fails before its first write leaves no file.
+fails before its first write leaves no file, and a command that fails
+writes no log line, only its JSON error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from pathlib import Path
@@ -37,8 +37,6 @@ from .sequences import (FilterCurve, PulseSequence, _log_grid, cpmg, filtered_si
                         sample_filter, spin_echo)
 from .trap import (FixedOccupation, ThermalOccupation, TrapConfig, dls_sigma,
                    thermal_average_dls_sigma)
-
-log = logging.getLogger("trapcoh")
 
 #: CSV columns each fit model needs; a "sigma" column, when present, weights the fit
 FIT_COLUMNS = {"coherence": CoherenceSeries.COLUMNS, "fringe": ("phase_rad", "population"),
@@ -119,7 +117,6 @@ def cmd_simulate(args):
     if args.pjr is not None:
         pjr = args.pjr
     params = DecayParams(sigma, pjr)
-    log.info("simulating with sigma_dls=%g rad/s, pjr=%g 1/s", sigma, pjr)
 
     grid = np.linspace(0.0, args.t_max, args.points)
     analytic = analytic_series(params, grid)
@@ -142,7 +139,7 @@ def cmd_simulate(args):
         "montecarlo": ("montecarlo.csv",
                        _series_csv(CoherenceSeries(grid, combined, combined_err))),
         "params": ("params.json", io.dumps(params.to_json_obj())),
-    }
+    }, "INFO simulating with sigma_dls=%g rad/s, pjr=%g 1/s\n" % (sigma, pjr)
 
 
 def cmd_fit(args):
@@ -170,12 +167,10 @@ def cmd_fit(args):
         result = fit_exponential(cols["t_s"], cols["survival"], cols.get("sigma"))
         x_name, x, y = "t_s", cols["t_s"], cols["survival"]
         modeled = exponential(x, **result.params)
-    log.info("fit rss=%g", result.rss)
-
     doc = result.to_json_obj()
     doc["meta"] = _meta(inputs)
-    return doc, {"residuals": ("residuals.csv", io.csv_text(
-        (x_name, "observed", "model", "residual"), x, y, modeled, y - modeled))}
+    residuals = io.csv_text((x_name, "observed", "model", "residual"), x, y, modeled, y - modeled)
+    return doc, {"residuals": ("residuals.csv", residuals)}, "INFO fit rss=%g\n" % result.rss
 
 
 def cmd_psd(args):
@@ -357,14 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(levelname)s %(message)s")
     try:
         # --help and --version exit here; any other bad command line is a parse_error
         args = build_parser().parse_args(argv)
         # numpy raises FloatingPointError, an ArithmeticError: non_finite below
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            doc, files = args.func(args)
+            doc, files, *log = args.func(args)
         if files:
             out = Path(args.outdir or os.environ.get("TRAPCOH_OUTDIR", "."))
             doc["files"] = {label: str(out / name) for label, (name, _) in files.items()}
@@ -382,11 +375,13 @@ def main(argv=None) -> int:
         sys.stderr.write("\n")
         # bad input is exit 2; a numerical failure (fit, report) is exit 3
         return 2 if isinstance(exc, (ConfigError, DomainError)) else 3
+    # a command's log line, like its files, only once it has succeeded
+    sys.stderr.writelines(log)
     sys.stdout.write(text)
     if doc.get("all_passed", True):
         return 0
     # a report with failing rows still writes its files and prints its document
-    log.error("report has failing rows")
+    sys.stderr.write("ERROR report has failing rows\n")
     return 3
 
 

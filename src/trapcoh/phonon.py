@@ -29,9 +29,9 @@ import numpy as np
 from .constants import _BLOCK_ELEMENTS, BOLTZMANN, HBAR
 from .errors import ConfigError, DomainError
 from .noise import POSITION, SPRING_FRACTIONAL, TWO_PI, NoiseSpectrum, psd_f_to_omega
-from .trap import AXES, FixedOccupation, ThermalOccupation, TrapConfig
+from .trap import AXES, FixedOccupation, ThermalOccupation, TrapConfig, thermal_moments
 
-# distinct trap-frequency vectors whose spectra one TrapNoise keeps
+# distinct trap-frequency triples whose axis terms one TrapNoise keeps
 _MEMO_SIZE = 4
 
 
@@ -60,16 +60,13 @@ class TrapNoise:
     def __init__(self, spring: Mapping[str, NoiseSpectrum], position: Mapping[str, NoiseSpectrum]):
         self._spring = dict(spring)
         self._position = dict(position)
-        for axis, spec in self._spring.items():
-            if axis not in AXES:
-                raise ConfigError(f"unknown axis {axis!r}")
-            if spec.kind != SPRING_FRACTIONAL:
-                raise ConfigError(f"spring spectrum for {axis!r} has kind {spec.kind!r}")
-        for axis, spec in self._position.items():
-            if axis not in AXES:
-                raise ConfigError(f"unknown axis {axis!r}")
-            if spec.kind != POSITION:
-                raise ConfigError(f"position spectrum for {axis!r} has kind {spec.kind!r}")
+        for label, kind, table in (("spring", SPRING_FRACTIONAL, self._spring),
+                                   ("position", POSITION, self._position)):
+            for axis, spec in table.items():
+                if axis not in AXES:
+                    raise ConfigError(f"unknown axis {axis!r}")
+                if spec.kind != kind:
+                    raise ConfigError(f"{label} spectrum for {axis!r} has kind {spec.kind!r}")
         self._memo = {}
 
     @classmethod
@@ -100,36 +97,28 @@ class TrapNoise:
         spec = self._get(self._position, axis, "position")
         return psd_f_to_omega(spec.evaluate(omega_rad_s / TWO_PI))
 
-    def axis_spectra(self, omegas):
-        """(S_k(2 omega_q), S_x(omega_q)) per axis, as read-only 3-vectors in
-        angular convention, for the axis trap frequencies omegas (rad/s).
+    def _axis_terms(self, cfg: TrapConfig):
+        """Per axis (omega, omega**3, S_k(2 omega), S_x(omega)) as Python floats,
+        the spectra in angular convention, for the trap frequencies of cfg.
 
-        Each distinct spectrum is evaluated once, at every axis that shares it.
-        The pair is kept for up to 4 distinct omegas (all are dropped when a
-        fifth comes) and returned again, with the same bytes: it cannot go
-        stale, because a spectrum's lookup reads only the tables built when
-        the spectrum was constructed.
+        The cube is numpy's array power, not libm's, for its bytes. The terms
+        are kept for up to 4 distinct frequency triples (all are dropped when
+        a fifth comes) and returned again: they cannot go stale, because a
+        spectrum's lookup reads only the tables built when the spectrum was
+        constructed.
         """
-        omegas = np.asarray(omegas, dtype=float)
-        key = (omegas.shape, omegas.tobytes())
-        pair = self._memo.get(key)
-        if pair is None:
-            pair = (self._per_axis(self._spring, "spring", 2.0 * omegas),
-                    self._per_axis(self._position, "position", omegas))
-            for a in pair:
-                a.flags.writeable = False
+        key = (cfg.omega_x_rad_s, cfg.omega_y_rad_s, cfg.omega_z_rad_s)
+        terms = self._memo.get(key)
+        if terms is None:
+            omegas = np.array(key, dtype=float)
+            ws = omegas.tolist()
+            s_k = [float(self.spring_omega(axis, 2.0 * w)) for axis, w in zip(AXES, ws)]
+            s_x = [float(self.position_omega(axis, w)) for axis, w in zip(AXES, ws)]
+            terms = tuple(zip(ws, (omegas ** 3).tolist(), s_k, s_x))
             if len(self._memo) >= _MEMO_SIZE:
                 self._memo.clear()
-            self._memo[key] = pair
-        return pair
-
-    def _per_axis(self, table, label, omegas):
-        specs = [self._get(table, axis, label) for axis in AXES]
-        out = np.empty(len(AXES))
-        for spec in {id(spec): spec for spec in specs}.values():
-            shared = np.array([other is spec for other in specs])
-            out[shared] = spec.evaluate(omegas[shared] / TWO_PI)
-        return psd_f_to_omega(out)
+            self._memo[key] = terms
+        return terms
 
 
 def intensity_jump_rate(omega_rad_s, s_k_omega, n, step) -> float:
@@ -170,20 +159,13 @@ def axis_jump_rate(omega_rad_s, mass_kg, s_k_omega, s_x_omega, n) -> float:
     return intensity + pointing
 
 
-def _axis_floats(cfg: TrapConfig, noise: TrapNoise, numbers):
-    """Per axis (omega, omega**3, S_k(2 omega), S_x(omega), n) as Python floats, for
-    loops with numpy's bytes (thermal_average_dls_sigma); the cube is numpy's, not libm's."""
-    omegas = cfg.omegas
-    s_k, s_x = noise.axis_spectra(omegas)
-    return zip(omegas.tolist(), (omegas ** 3).tolist(), s_k.tolist(), s_x.tolist(), numbers)
-
-
 def total_jump_rate(cfg: TrapConfig, noise: TrapNoise, occ: FixedOccupation) -> AxisRates:
     """Per-axis leaving rates at fixed phonon numbers (axis_jump_rate)."""
     c = math.pi / (2.0 * HBAR) * cfg.species.mass_kg
-    axes = _axis_floats(cfg, noise, (occ.n_x, occ.n_y, occ.n_z))
+    numbers = (occ.n_x, occ.n_y, occ.n_z)
     return AxisRates(*[math.pi * (w * w) / 8.0 * sk * ((n + 1.0) * (n + 1.0) - n)
-                       + c * w3 * sx * (2.0 * n + 1.0) for w, w3, sk, sx, n in axes])
+                       + c * w3 * sx * (2.0 * n + 1.0)
+                       for (w, w3, sk, sx), n in zip(noise._axis_terms(cfg), numbers)])
 
 
 def classical_thermal_rate(cfg: TrapConfig, noise: TrapNoise, temperature_k) -> float:
@@ -203,10 +185,8 @@ def classical_thermal_rate(cfg: TrapConfig, noise: TrapNoise, temperature_k) -> 
     if not temperature_k > 0.0:
         raise DomainError("temperature must be positive")
     kt = BOLTZMANN * temperature_k
-    omegas = cfg.omegas
-    s_k, s_x = noise.axis_spectra(omegas)
     sum_k = sum_x = 0.0
-    for w, sk, sx in zip(omegas.tolist(), s_k.tolist(), s_x.tolist()):
+    for w, _, sk, sx in noise._axis_terms(cfg):
         sum_k += sk
         sum_x += w * w * sx
     intensity = math.pi / (8.0 * HBAR ** 2) * (kt / 2.0) ** 2 * sum_k
@@ -225,8 +205,9 @@ def thermal_average_pjr(cfg: TrapConfig, noise: TrapNoise, dist: ThermalOccupati
     """
     c = math.pi / (2.0 * HBAR) * cfg.species.mass_kg
     total = 0.0
-    for w, w3, sk, sx, m1 in _axis_floats(cfg, noise, (dist.nbar_x, dist.nbar_y, dist.nbar_z)):
-        m2 = 2.0 * m1 * m1 + m1
+    means = (dist.nbar_x, dist.nbar_y, dist.nbar_z)
+    for (w, w3, sk, sx), nbar in zip(noise._axis_terms(cfg), means):
+        m1, m2 = thermal_moments(nbar)
         total += (math.pi * (w * w) / 8.0 * sk * (m2 + m1 + 1.0)
                   + c * w3 * sx * (2.0 * m1 + 1.0))
     return total

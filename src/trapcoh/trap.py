@@ -221,17 +221,20 @@ def cesium_eta(trap_wavelength_m):
     return eta_from_detuning(constants.CS_HYPERFINE_SPLITTING, det)
 
 
+def _phonon_sum(cfg: TrapConfig, occ: FixedOccupation) -> float:
+    """sum_q (n_q + 1/2) omega_q with np.sum's bytes: from 0.0 over x, y, z."""
+    return (0.0 + (occ.n_x + 0.5) * cfg.omega_x_rad_s + (occ.n_y + 0.5) * cfg.omega_y_rad_s
+            + (occ.n_z + 0.5) * cfg.omega_z_rad_s)
+
+
 def dls_mean(cfg: TrapConfig, occ: FixedOccupation) -> float:
     """Mean differential light shift (rad/s) at fixed phonon numbers."""
-    phonon = np.sum((occ.numbers + 0.5) * cfg.omegas)
-    return float(-cfg.eta * cfg.u0_joule / constants.HBAR + 0.5 * cfg.eta * phonon)
+    return float(-cfg.eta * cfg.u0_joule / constants.HBAR + 0.5 * cfg.eta * _phonon_sum(cfg, occ))
 
 
 def dls_sigma(cfg: TrapConfig, occ: FixedOccupation) -> float:
     """Signed DLS spread (rad/s) from the trap-power spread, fixed phonons."""
-    phonon = (0.0 + (occ.n_x + 0.5) * cfg.omega_x_rad_s + (occ.n_y + 0.5) * cfg.omega_y_rad_s
-              + (occ.n_z + 0.5) * cfg.omega_z_rad_s)  # as np.sum (thermal_average_dls_sigma)
-    core = -cfg.eta * cfg.u0_joule / constants.HBAR + 0.25 * cfg.eta * phonon
+    core = -cfg.eta * cfg.u0_joule / constants.HBAR + 0.25 * cfg.eta * _phonon_sum(cfg, occ)
     return float(core * cfg.relative_power_spread)
 
 

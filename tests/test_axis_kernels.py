@@ -1,7 +1,8 @@
 """The three-axis budget kernels against numpy oracles, bit for bit.
 
 The kernels loop over x, y, z on Python floats. Each oracle below is the
-numpy form they replaced, on 3-vectors, so every value must keep its bytes:
+numpy form they replaced, on 3-vectors, with the spectra looked up by array
+evaluate calls, one per distinct spectrum, so every value must keep its bytes:
 results are compared with ==, never within a tolerance. Where a kernel moves
 by one ulp (say x * x for a numpy scalar's ** 2, which calls libm pow, or
 libm pow for numpy's array cube) some of the 12,000 cases fail.
@@ -13,9 +14,11 @@ import math
 import numpy as np
 
 from trapcoh import (FixedOccupation, NoiseSpectrum, ThermalOccupation, TrapConfig, TrapNoise,
-                     classical_thermal_rate, dls_sigma, thermal_average_dls_sigma,
+                     classical_thermal_rate, dls_mean, dls_sigma, thermal_average_dls_sigma,
                      thermal_average_pjr, total_jump_rate)
 from trapcoh.constants import BOLTZMANN, HBAR
+from trapcoh.noise import TWO_PI, psd_f_to_omega
+from trapcoh.trap import AXES
 
 N_CASES = 12_000
 SPRINGS = ("rin_40db", "rin_free", "rin_flat_140")
@@ -23,6 +26,24 @@ SPRINGS = ("rin_40db", "rin_free", "rin_flat_140")
 
 def oracle_nbars(temperature_k, cfg):
     return [max(0.0, BOLTZMANN * temperature_k / (2.0 * HBAR * w) - 0.5) for w in cfg.omegas]
+
+
+def oracle_spectra(noise, omegas):
+    """(S_k(2 omega), S_x(omega)) per axis as 3-vectors in angular convention:
+    each distinct spectrum evaluated once, as an array, at every axis sharing it."""
+    def per_axis(table, omegas):
+        specs = [table[axis] for axis in AXES]
+        out = np.empty(len(AXES))
+        for spec in {id(spec): spec for spec in specs}.values():
+            shared = np.array([other is spec for other in specs])
+            out[shared] = spec.evaluate(omegas[shared] / TWO_PI)
+        return psd_f_to_omega(out)
+    return per_axis(noise._spring, 2.0 * omegas), per_axis(noise._position, omegas)
+
+
+def oracle_dls_mean(cfg, occ):
+    phonon = np.sum((occ.numbers + 0.5) * cfg.omegas)
+    return float(-cfg.eta * cfg.u0_joule / HBAR + 0.5 * cfg.eta * phonon)
 
 
 def oracle_dls_sigma(cfg, occ):
@@ -48,14 +69,14 @@ def oracle_axis_jump_rate(omega_rad_s, mass_kg, s_k_omega, s_x_omega, n):
 
 
 def oracle_total_jump_rate(cfg, noise, occ):
-    s_k, s_x = noise.axis_spectra(cfg.omegas)
+    s_k, s_x = oracle_spectra(noise, cfg.omegas)
     return oracle_axis_jump_rate(cfg.omegas, cfg.species.mass_kg, s_k, s_x,
                                  occ.numbers).tolist()
 
 
 def oracle_classical_thermal_rate(cfg, noise, temperature_k):
     kt = BOLTZMANN * temperature_k
-    s_k, s_x = noise.axis_spectra(cfg.omegas)
+    s_k, s_x = oracle_spectra(noise, cfg.omegas)
     intensity = math.pi / (8.0 * HBAR ** 2) * (kt / 2.0) ** 2 * s_k.sum()
     pointing = (math.pi / (2.0 * HBAR ** 2) * cfg.species.mass_kg * kt
                 * (cfg.omegas ** 2 * s_x).sum())
@@ -63,7 +84,7 @@ def oracle_classical_thermal_rate(cfg, noise, temperature_k):
 
 
 def oracle_thermal_average_pjr(cfg, noise, dist):
-    s_k, s_x = noise.axis_spectra(cfg.omegas)
+    s_k, s_x = oracle_spectra(noise, cfg.omegas)
     omega, m1 = cfg.omegas, dist.means
     m2 = 2.0 * m1 * m1 + m1
     intensity = math.pi * omega ** 2 / 8.0 * s_k * (m2 + m1 + 1.0)
@@ -84,6 +105,8 @@ def test_axis_kernels_keep_the_bytes_of_the_numpy_forms():
     positions = [None] + [NoiseSpectrum.flat(level, kind="position", f_min=1.0, f_max=1e7)
                           for level in 10.0 ** rng.uniform(-30.0, -20.0, 3)]
     noises = [TrapNoise.uniform(spring=s, position=x) for s in springs for x in positions]
+    # a spectrum of its own on each axis
+    noises.append(TrapNoise(dict(zip(AXES, springs)), dict(zip(AXES, positions[1:]))))
     wrong = []
     for case in range(N_CASES):
         cfg = traps[case % 2]
@@ -101,6 +124,7 @@ def test_axis_kernels_keep_the_bytes_of_the_numpy_forms():
         pairs = [
             ("from_temperature", [dist.nbar_x, dist.nbar_y, dist.nbar_z],
              [want_dist.nbar_x, want_dist.nbar_y, want_dist.nbar_z]),
+            ("dls_mean", [dls_mean(cfg, occ)], [oracle_dls_mean(cfg, occ)]),
             ("dls_sigma", [dls_sigma(cfg, occ)], [oracle_dls_sigma(cfg, occ)]),
             ("thermal_average_dls_sigma", [thermal_average_dls_sigma(cfg, dist)],
              [oracle_thermal_average_dls_sigma(cfg, want_dist)]),
@@ -122,7 +146,7 @@ def test_axis_kernels_return_python_floats():
     noise = TrapNoise.uniform(spring=NoiseSpectrum.load_preset("rin_40db"))
     dist = ThermalOccupation.from_temperature(14e-6, cfg)
     occ = FixedOccupation(3, 4, 5)
-    values = [dist.nbar_x, dist.nbar_y, dist.nbar_z, dls_sigma(cfg, occ),
+    values = [dist.nbar_x, dist.nbar_y, dist.nbar_z, dls_mean(cfg, occ), dls_sigma(cfg, occ),
               thermal_average_dls_sigma(cfg, dist), classical_thermal_rate(cfg, noise, 14e-6),
               thermal_average_pjr(cfg, noise, dist),
               *dataclasses.astuple(total_jump_rate(cfg, noise, occ))]

@@ -384,17 +384,28 @@ def test_report_all_rows_pass(tmp_path):
     assert markdown.count("\n") >= 20
 
 
-def test_report_failing_rows_exit_3_with_files(tmp_path, monkeypatch, capsys, caplog):
+def test_report_failing_rows_exit_3_with_files(tmp_path, monkeypatch, capsys):
     row = report_mod.ReportRow("check", "1", "2", "equal", False)
     monkeypatch.setattr(report_mod, "build_report", lambda mc_seed: [row])
     assert cli.main(["report", "--outdir", str(tmp_path)]) == 3
-    doc = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
     assert doc["all_passed"] is False
     assert doc["files"] == {"markdown": str(tmp_path / "report.md"),
                             "json": str(tmp_path / "report.json")}
     assert json.loads((tmp_path / "report.json").read_text())["rows"] == [row.to_json_obj()]
     assert "SOME CHECKS FAILED" in (tmp_path / "report.md").read_text()
-    assert "report has failing rows" in caplog.text
+    assert err == "ERROR report has failing rows\n"
+
+
+def test_log_lines_go_to_the_stderr_of_each_call(tmp_path):
+    # two in-process calls, each under its own stderr, each get their own line
+    argv = ["simulate", "--n-traj", "100", "--points", "3", "--outdir", str(tmp_path)]
+    for sigma in ("15", "20"):
+        err = StringIO()
+        with redirect_stderr(err), redirect_stdout(StringIO()):
+            assert cli.main([*argv, "--sigma-dls", sigma]) == 0
+        assert err.getvalue() == f"INFO simulating with sigma_dls={sigma} rad/s, pjr=0 1/s\n"
 
 
 def test_memory_error_is_out_of_memory_exit_3(tmp_path, monkeypatch, capsys):

@@ -51,6 +51,14 @@ def test_import_leaves_hashlib_out():
     assert json.loads(run_python(code)) is False
 
 
+def test_import_cli_leaves_logging_out():
+    # the log lines are plain writes to sys.stderr
+    code = ("import json, sys\n"
+            "import trapcoh.cli\n"
+            "json.dump('logging' in sys.modules, sys.stderr)\n")
+    assert json.loads(run_python(code)) is False
+
+
 def test_psd_command_imports_no_scipy(tmp_path):
     data = tmp_path / "power.csv"
     io.write_csv(data, ("t_s", "power_w"), np.arange(256) / 1e3,

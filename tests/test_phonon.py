@@ -1,5 +1,6 @@
 """Phonon jumping rates: single transitions, axis totals, thermal estimates."""
 
+import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -166,40 +167,52 @@ def test_batched_axis_lookup_matches_per_axis_loop(shared):
     assert classical_thermal_rate(cfg, noise, 2e-5) == pytest.approx(classical, rel=1e-14)
 
 
-def test_axis_spectra_memo_keeps_the_bytes():
+def with_omegas(cfg, wx, wy, wz):
+    return dataclasses.replace(cfg, omega_x_rad_s=wx, omega_y_rad_s=wy, omega_z_rad_s=wz)
+
+
+def terms_bytes(terms):
+    return np.array(terms).tobytes()
+
+
+def test_axis_terms_memo_keeps_the_bytes():
     # one TrapNoise used for two traps in turn answers as a fresh one each time
     noise = per_axis_noise(np.random.default_rng(21), shared=True)
     traps = [TrapConfig.load_preset(p) for p in ("cs133", "bbt780")]
     for k in range(6):
         cfg = traps[k % 2]
         fresh = TrapNoise(noise._spring, noise._position)
-        got, expect = noise.axis_spectra(cfg.omegas), fresh.axis_spectra(cfg.omegas)
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in expect]
+        assert terms_bytes(noise._axis_terms(cfg)) == terms_bytes(fresh._axis_terms(cfg))
         dist = ThermalOccupation.from_temperature(2e-5, cfg)
         occ = FixedOccupation(1, 4, 9)
         assert thermal_average_pjr(cfg, noise, dist) == thermal_average_pjr(cfg, fresh, dist)
         assert classical_thermal_rate(cfg, noise, 2e-5) == classical_thermal_rate(cfg, fresh, 2e-5)
         assert total_jump_rate(cfg, noise, occ) == total_jump_rate(cfg, fresh, occ)
-    assert noise.axis_spectra(traps[0].omegas) is noise.axis_spectra(traps[0].omegas.copy())
-    # the key holds every axis: vectors that differ in one axis only
-    w = traps[0].omegas
-    for omegas in (w * [1.0, 1.0, 2.0], w * [2.0, 1.0, 1.0], w):
+    assert noise._axis_terms(traps[0]) is noise._axis_terms(dataclasses.replace(traps[0]))
+    # the key holds every axis: triples that differ in one axis only
+    wx, wy, wz = traps[0].omegas.tolist()
+    for omegas in ((wx, wy, 2.0 * wz), (2.0 * wx, wy, wz), (wx, 2.0 * wy, wz), (wx, wy, wz)):
+        cfg = with_omegas(traps[0], *omegas)
         fresh = TrapNoise(noise._spring, noise._position)
-        assert [a.tobytes() for a in noise.axis_spectra(omegas)] == \
-            [a.tobytes() for a in fresh.axis_spectra(omegas)]
+        assert terms_bytes(noise._axis_terms(cfg)) == terms_bytes(fresh._axis_terms(cfg))
     copy = pickle.loads(pickle.dumps(noise))
-    assert [a.tobytes() for a in copy.axis_spectra(traps[1].omegas)] == \
-        [a.tobytes() for a in noise.axis_spectra(traps[1].omegas)]
+    assert terms_bytes(copy._axis_terms(traps[1])) == terms_bytes(noise._axis_terms(traps[1]))
 
 
-def test_axis_spectra_memo_is_read_only_and_bounded():
+def test_axis_terms_are_floats_immutable_and_bounded():
     noise = per_axis_noise(np.random.default_rng(22), shared=False)
-    omegas = TrapConfig.load_preset("cs133").omegas
-    for array in noise.axis_spectra(omegas):
-        with pytest.raises(ValueError):
-            array[0] = 1.0
+    cfg = TrapConfig.load_preset("cs133")
+    terms = noise._axis_terms(cfg)
+    assert type(terms) is tuple and all(type(axis) is tuple for axis in terms)
+    assert all(type(value) is float for axis in terms for value in axis)
+    # integer trap frequencies give the terms of the equal floats, not an
+    # int64 cube, which wraps past 2**21 rad/s
+    ints = noise._axis_terms(with_omegas(cfg, 3_000_000, 190_000, 15_000))
+    fresh = TrapNoise(noise._spring, noise._position)
+    assert terms_bytes(ints) == terms_bytes(fresh._axis_terms(with_omegas(cfg, 3e6, 1.9e5, 1.5e4)))
+    assert all(type(value) is float for axis in ints for value in axis)
     for k in range(100):
-        noise.axis_spectra(omegas * (1.0 + k / 1000.0))
+        noise._axis_terms(with_omegas(cfg, *(cfg.omegas * (1.0 + k / 1000.0)).tolist()))
         assert 1 <= len(noise._memo) <= phonon._MEMO_SIZE == 4
 
 

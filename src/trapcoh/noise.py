@@ -205,18 +205,19 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
                  kind: str = SPRING_FRACTIONAL) -> NoiseSpectrum:
     """Welch PSD of the mean-normalized series (Hann window, one sided).
 
-    The series is divided by its mean and offset to zero, so the result is
-    the PSD of fractional fluctuations; its integral over f approximates
-    relative_variance**2 (Parseval). The DC bin is dropped.
+    The series is divided by its mean (positive, 1/mean finite) and offset
+    to zero, so the result is the PSD of fractional fluctuations, whose
+    integral approximates relative_variance**2 (Parseval); DC is dropped.
 
     Welch's estimator (IEEE Trans. Audio Electroacoust. 15, 70 (1967)):
     segments of `segment_length` samples overlapping by
-    round(overlap * segment_length), each with its mean removed and a
-    periodic Hann window w applied, averaged |rfft|^2 scaled to a one-sided
-    density by 2 / (fs sum w^2) (Heinzel, Ruediger & Schilling, "Spectrum
-    and spectral density estimation by the DFT", 2002); the Nyquist bin of
-    an even segment is not doubled. Blocks of _BLOCK_ELEMENTS samples sum to
-    the bytes of the one-array form at any number of segments.
+    round(overlap * segment_length), each less its own mean (of the raw
+    samples) times w / mean, w the periodic Hann window (the one place the
+    1/mean is applied), averaged |rfft|^2 scaled to a one-sided density by
+    2 / (fs sum w^2) (Heinzel, Ruediger & Schilling, "Spectrum and spectral
+    density estimation by the DFT", 2002); the Nyquist bin of an even
+    segment is not doubled. Blocks of _BLOCK_ELEMENTS samples sum to the
+    bytes of the one-array form at any number of segments.
     """
     n = series.samples.size
     segment_length = int(segment_length)
@@ -229,25 +230,28 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
         raise DomainError(
             f"overlap {overlap} of {segment_length} samples rounds to the whole segment")
     mean = series.samples.mean()
-    if mean <= 0.0:
-        raise DomainError("PSD of fractional fluctuations needs a positive mean")
+    if not mean > 1.0 / np.finfo(float).max:
+        raise DomainError("PSD of fractional fluctuations needs a positive mean, 1/mean finite")
     fs = series.sample_rate_hz
-    n_seg = (n - segment_length) // step + 1
-    rows = max(1, _BLOCK_ELEMENTS // segment_length)
+    segments = np.lib.stride_tricks.sliding_window_view(series.samples, segment_length)[::step]
+    rows = min(len(segments), max(1, _BLOCK_ELEMENTS // segment_length))
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(segment_length) / segment_length)
-    power = np.zeros(segment_length // 2 + 1)
-    for lo in range(0, n_seg, rows):
-        hi = min(lo + rows, n_seg)
-        # normalized per block, so no full copy of the trace is made
-        x = series.samples[lo * step:(hi - 1) * step + segment_length] / mean - 1.0
-        seg = np.lib.stride_tricks.sliding_window_view(x, segment_length)[::step]
-        spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
-        p = spectra.real ** 2 + spectra.imag ** 2
+    scaled = window / mean
+    x = np.empty((rows, segment_length))
+    spectra = np.empty((rows, segment_length // 2 + 1), dtype=complex)
+    # sums of re^2 and of im^2, interleaved as in the spectra's float view
+    power = np.zeros(2 * spectra.shape[1])
+    for lo in range(0, len(segments), rows):
+        seg = segments[lo:lo + rows]
+        xk = np.subtract(seg, seg.mean(axis=1, keepdims=True), out=x[:len(seg)])
+        xk *= scaled
+        v = np.fft.rfft(xk, axis=1, out=spectra[:len(seg)]).view(float)
+        v *= v
         # numpy sums over axis 0 row by row, in order: carrying the partial sum
         # in the first row gives the bytes of one sum over all segments
-        p[0] += power
-        power = p.sum(axis=0)
-    pxx = power / n_seg * (2.0 / (fs * window @ window))
+        v[0] += power
+        v.sum(axis=0, out=power)
+    pxx = (power[::2] + power[1::2]) / len(segments) * (2.0 / (fs * window @ window))
     if segment_length % 2 == 0:
         pxx[-1] /= 2.0
     f = np.fft.rfftfreq(segment_length, 1.0 / fs)

@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,13 @@ def test_estimate_psd_validation():
         100.0, np.random.default_rng(0).standard_normal(256) - 10.0)
     with pytest.raises(DomainError):
         estimate_psd(negative_mean, segment_length=64)
+    # window / mean overflows below a mean of 1 / (largest float), 5.6e-309
+    fluctuation = 1.0 + 0.01 * np.random.default_rng(0).standard_normal(256)
+    with pytest.raises(DomainError, match="1/mean finite"):
+        estimate_psd(TimeSeries(100.0, 1e-310 * fluctuation), segment_length=64)
+    tiny = estimate_psd(TimeSeries(100.0, 1e-308 * fluctuation), segment_length=64)
+    assert tiny.psd == pytest.approx(estimate_psd(TimeSeries(100.0, fluctuation), 64).psd,
+                                     rel=1e-9)
 
 
 def test_estimate_psd_matches_scipy_welch():
@@ -355,6 +363,79 @@ def test_estimate_psd_matches_scipy_welch():
         assert np.max(np.abs(psd.psd - pxx[1:])) <= 1e-12 * pxx[1:].max()
 
 
+def welch_40_digits(samples, fs, length, overlap):
+    """Welch's estimate of the float `samples` in 40-digit arithmetic (exact
+    window, mean, segment means and DFT), with the number of segments and,
+    over them, the largest sum |y_j| of the normalized windowed samples."""
+    step = length - round(overlap * length)
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(v)) for v in samples]
+        mean = mpmath.fsum(x) / len(x)
+        turn = [2 * mpmath.pi * j / length for j in range(length)]
+        cos, sin = [mpmath.cos(a) for a in turn], [mpmath.sin(a) for a in turn]
+        w = [(1 - c) / 2 for c in cos]
+        power = [mpmath.mpf(0)] * (length // 2 + 1)
+        abs_sum = 0
+        starts = range(0, len(x) - length + 1, step)
+        for lo in starts:
+            seg = x[lo:lo + length]
+            m = mpmath.fsum(seg) / length
+            y = [(v - m) / mean * wj for v, wj in zip(seg, w)]
+            abs_sum = max(abs_sum, mpmath.fsum(abs(v) for v in y))
+            for k in range(len(power)):
+                re = mpmath.fsum(y[j] * cos[j * k % length] for j in range(length))
+                im = mpmath.fsum(y[j] * sin[j * k % length] for j in range(length))
+                power[k] += re * re + im * im
+        pxx = [p * 2 / (fs * mpmath.fsum(v * v for v in w) * len(starts)) for p in power]
+        if length % 2 == 0:
+            pxx[-1] /= 2
+        return np.array([float(p) for p in pxx[1:]]), len(starts), float(abs_sum)
+
+
+@pytest.mark.parametrize("length", [32, 63])
+@pytest.mark.parametrize("overlap", [0.0, 0.5, 0.9])
+def test_estimate_psd_within_its_rounding_bound_of_40_digits(length, overlap):
+    """estimate_psd against Welch's sum in 40 digits, for fractional noise
+    sigma_r = 1e-2 .. 1e-8 on a unit mean, eight segments, even and odd L.
+
+    The bound, with u = 2^-53 and err = max|got - want| / max(want):
+    - Per sample, in units of the mean, an error D that need not cancel in
+      x - m: the segment mean's pairwise sum of L samples is off by at most
+      (L/8 + 10) u of it, and its division adds u, so D <= (L/8 + 12) u (a
+      quotient x / mean - 1 is off by about u, which this covers as well).
+      Through the window (sum w_j = L/2) each DFT bin moves by (L/2) D.
+    - Each y_j is off by 2u relative (w / mean and the product), and a DFT
+      bin, a sum of L products with rounded twiddles, by at most
+      (L + 2) u sum|y_j|; the FFT's error is below that of the direct sum.
+      So every bin X of every segment is off by at most
+      d = (L/2) D + (L + 4) u max_seg sum|y_j|.
+    - Averaged over segments, |X|^2 moves by at most 2 d sqrt(P) + d^2
+      (Cauchy-Schwarz), and the density is c P with c <= 2 / (fs sum w^2)
+      = 2 / (fs 3L/8), so err <= 2 d sqrt(c / max want) + c d^2 / max want.
+    - The mean of n samples (relative (n/8 + 12) u, squared in the
+      density), the sum over S segments and the scale factor add
+      (n/4 + S + L + 34) u.
+    The 1/sigma_r in d / sqrt(max want) is the cancellation of x - m: both
+    forms of the normalization lose about u / sigma_r, and the bound holds
+    for either.
+    """
+    u = 2.0 ** -53
+    step = length - round(overlap * length)
+    n = length + 7 * step
+    for e in range(2, 9):
+        rng = np.random.default_rng([length, round(10 * overlap), e])
+        samples = 1.0 + 10.0 ** -e * rng.standard_normal(n)
+        got = estimate_psd(TimeSeries(1.0, samples), length, overlap).psd
+        want, segments, abs_sum = welch_40_digits(samples, 1.0, length, overlap)
+        top = want.max()
+        d = (length / 2) * (length / 8 + 12) * u + (length + 4) * u * abs_sum
+        c = 2.0 / (3.0 * length / 8.0)
+        bound = (2.0 * d * math.sqrt(c / top) + c * d * d / top
+                 + (n / 4 + segments + length + 34) * u)
+        assert segments == 8
+        assert np.max(np.abs(got - want)) <= bound * top
+
+
 def test_estimate_psd_memory_bounded_at_high_overlap():
     # 99% overlap makes about 4900 segments of 2048 samples: 80 MB as one array
     series = TimeSeries(1e4, 1.0 + 0.01 * np.random.default_rng(5).standard_normal(100_000))
@@ -369,13 +450,14 @@ def test_estimate_psd_memory_bounded_at_high_overlap():
 
 def one_array_welch(samples, fs, length, overlap):
     """The Welch sum over one (segment x sample) array: the bytes the blocked
-    estimate_psd keeps."""
+    estimate_psd keeps. Each raw segment less its own mean is multiplied by
+    window / mean, the one place the trace mean enters."""
     step = length - round(overlap * length)
-    seg = np.lib.stride_tricks.sliding_window_view(samples / samples.mean() - 1.0,
-                                                   length)[::step]
+    seg = np.lib.stride_tricks.sliding_window_view(samples, length)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
-    spectra = np.fft.rfft((seg - seg.mean(axis=1, keepdims=True)) * window, axis=1)
-    power = (spectra.real ** 2 + spectra.imag ** 2).sum(axis=0)
+    x = (seg - seg.mean(axis=1, keepdims=True)) * (window / samples.mean())
+    spectra = np.fft.rfft(x, axis=1)
+    power = (spectra.real ** 2).sum(axis=0) + (spectra.imag ** 2).sum(axis=0)
     pxx = power / len(seg) * (2.0 / (fs * window @ window))
     if length % 2 == 0:
         pxx[-1] /= 2.0

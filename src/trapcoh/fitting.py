@@ -1,9 +1,9 @@
 """Least-squares parameter extraction for fringes and decay curves.
 
 The fringe is linear in (b, (A/2) cos phi0, (A/2) sin phi0) and is solved
-in one step; decay and lifetime fits run a numpy Levenberg-Marquardt with
-analytic Jacobians, which stops only when the scaled gradient or the
-relative step falls below 1e-12, never because the cost barely fell.
+in one step; decay and lifetime fits run Levenberg-Marquardt (its damped
+step in closed form on floats) with analytic Jacobians, which stops only when
+the scaled gradient or relative step is below 1e-12, never as the cost stalls.
 All report 1-sigma uncertainties from the Jacobian covariance at the
 optimum and raise instead of returning partial results:
 FitConvergenceError when no start converges within the evaluation cap,
@@ -67,6 +67,7 @@ class FitResult:
             "params": dict(self.params),
             "uncertainties": dict(self.uncertainties),
             "rss": self.rss,
+            "n_iter": self.n_iter,
             "converged": self.converged,
         }
 
@@ -103,36 +104,57 @@ def _weights(n_points, sigma):
     return 1.0 / w, True
 
 
+def _damped_step(a, g, mu):
+    """h with (a + mu I) h = -g, for a = J^T J and g = J^T f of one or two
+    parameters as float lists: LU with partial pivoting, a 1x1 system padded
+    with the identity row h_2 = 0. ZeroDivisionError at a zero pivot."""
+    (p, q), (r, s) = ([a[0][0] + mu, 0.0], [0.0, 1.0]) if len(g) == 1 else (
+        [a[0][0] + mu, a[0][1]], [a[1][0], a[1][1] + mu])
+    g0, g1 = (g + [0.0])[:2]
+    if abs(r) > abs(p):  # the larger first-column entry is the pivot
+        p, q, r, s, g0, g1 = r, s, p, q, g1, g0
+    l = r / p
+    h1 = (l * g0 - g1) / (s - l * q)
+    return [(-g0 - q * h1) / p, h1][:len(g)]
+
+
 def _lm_run(fun, jac, x, f):
-    """(x, residuals, Jacobian, evaluations) where one LM run from x, with
-    residuals f, stops; None after MAX_EVALUATIONS evaluations. Marquardt
-    (1963) with Nielsen's damping update: Madsen, Nielsen & Tingleff,
-    "Methods for non-linear least squares problems" (2004), Alg. 3.16."""
-    nfev, mu, nu, eye = 1, 0.0, 2.0, np.eye(x.size)
+    """(x, residuals, Jacobian, evaluations) where one LM run from the float list
+    x, with residuals f, stops; None after MAX_EVALUATIONS evaluations or at a
+    singular step. Marquardt (1963) with Nielsen's damping update: Madsen,
+    Nielsen & Tingleff, "Methods for non-linear least squares problems" (2004),
+    Alg. 3.16. Past the numpy products J^T J, J^T f and f.f it runs on floats."""
+    nfev, mu, nu, ff = 1, 0.0, 2.0, float(f @ f)
     while True:
         jx = jac(x)
-        a, g, ff = jx.T @ jx, jx.T @ f, f @ f
-        if (np.abs(g) <= _LM_TOLERANCE * np.sqrt(ff * a.diagonal())).all():
+        a, g = (jx.T @ jx).tolist(), (jx.T @ f).tolist()
+        diag = [row[i] for i, row in enumerate(a)]
+        if all(abs(gi) <= _LM_TOLERANCE * math.sqrt(ff * di) for gi, di in zip(g, diag)):
             return x, f, jx, nfev
-        mu = mu or 1e-3 * a.diagonal().max()  # tau = 1e-3 on the first pass
+        mu = mu or 1e-3 * max(diag)  # tau = 1e-3 on the first pass
+        step_stop = _LM_TOLERANCE * (math.sqrt(sum(xi * xi for xi in x)) + _LM_TOLERANCE)
         while True:  # raise the damping until a step lowers the cost
-            if nfev == MAX_EVALUATIONS:
+            if nfev == MAX_EVALUATIONS or not mu < math.inf:  # mu = inf: h = 0, no step
                 return None
             try:
-                h = np.linalg.solve(a + mu * eye, -g)
-            except np.linalg.LinAlgError:  # singular: J^T J underflowed to zero
+                h = _damped_step(a, g, mu)
+            except ZeroDivisionError:  # singular: J^T J underflowed to zero
                 return None
-            if math.sqrt(h @ h) <= _LM_TOLERANCE * (math.sqrt(x @ x) + _LM_TOLERANCE):
+            if math.sqrt(sum(hi * hi for hi in h)) <= step_stop:
                 return x, f, jx, nfev
-            x_new = x + h
+            x_new = [xi + hi for xi, hi in zip(x, h)]
             f_new = fun(x_new)
             nfev += 1
-            rho = (ff - f_new @ f_new) / (h @ (mu * h - g))  # not > 0 if f_new is not finite
+            ff_new = float(f_new @ f_new)
+            # not > 0 if f_new is not finite; a division by 0 is IEEE's (0 / 0 is NaN)
+            gain, predicted = ff - ff_new, sum(hi * (mu * hi - gi) for hi, gi in zip(h, g))
+            rho = gain / predicted if predicted else gain * math.copysign(math.inf, predicted)
             if rho > 0.0:
                 break
             mu, nu = mu * nu, 2.0 * nu
-        x, f = x_new, f_new
-        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        x, f, ff = x_new, f_new, ff_new
+        # 1/3 for every rho >= 1, where (2 rho - 1)**3 could overflow
+        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3), 2.0
 
 
 def _levenberg_marquardt(fun, jac, starts, absolute, failure):
@@ -145,13 +167,13 @@ def _levenberg_marquardt(fun, jac, starts, absolute, failure):
         starts = [(x0, f0) for x0, f0 in starts if np.all(np.isfinite(f0))]
         if not starts:
             raise TrapcohError("fit residuals are not finite at any start", kind="non_finite")
-        runs = [_lm_run(fun, jac, x0, f0) for x0, f0 in starts]
+        runs = [_lm_run(fun, jac, x0.tolist(), f0) for x0, f0 in starts]
     converged = [run for run in runs if run is not None]
     if not converged:
         raise FitConvergenceError(failure)
     x, f, jx, nfev = min(converged, key=lambda run: run[1] @ run[1])  # the first of equal costs
     rss = float(f @ f)
-    return x, rss, _covariance(jx, rss, f.size, x.size, absolute), nfev
+    return np.array(x), rss, _covariance(jx, rss, f.size, len(x), absolute), nfev
 
 
 def _result(model, params, cov, rss, n_iter):

@@ -194,11 +194,13 @@ class TimeSeries:
 
 
 def relative_variance(series: TimeSeries) -> float:
-    """Population standard deviation divided by the mean (dimensionless)."""
+    """Population standard deviation divided by the mean (dimensionless), both
+    of the samples times 2**-k for mean = m 2**k: exact, and no square overflows."""
     mean = series.samples.mean()
     if mean <= 0.0:
         raise DomainError("relative variance needs a positive mean level")
-    return float(series.samples.std(ddof=0) / mean)
+    m, k = np.frexp(mean)
+    return float(np.ldexp(series.samples, -k).std(ddof=0) / m)
 
 
 def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,

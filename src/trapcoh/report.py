@@ -8,7 +8,7 @@ on a fresh checkout; the CLI turns any failure into a nonzero exit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -28,13 +28,7 @@ class ReportRow:
     passed: bool
 
     def to_json_obj(self):
-        return {
-            "name": self.name,
-            "expected": self.expected,
-            "computed": self.computed,
-            "criterion": self.criterion,
-            "passed": bool(self.passed),
-        }
+        return {**asdict(self), "passed": bool(self.passed)}
 
 
 def _rel(name, computed, expected, tol) -> ReportRow:

@@ -20,7 +20,7 @@ dls_sigma is signed; decay-model consumers use its magnitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -95,37 +95,15 @@ class TrapConfig:
         return self.sigma_p_watt / self.p0_watt
 
     def to_json_obj(self):
-        return {
-            "mass_kg": self.species.mass_kg,
-            "omega_hfs_rad_s": self.species.omega_hfs_rad_s,
-            "gamma_rad_s": self.species.gamma_rad_s,
-            "eta": self.eta,
-            "u0_joule": self.u0_joule,
-            "omega_x_rad_s": self.omega_x_rad_s,
-            "omega_y_rad_s": self.omega_y_rad_s,
-            "omega_z_rad_s": self.omega_z_rad_s,
-            "p0_watt": self.p0_watt,
-            "sigma_p_watt": self.sigma_p_watt,
-        }
+        # the species' fields, then the trap's, in declaration order
+        return {**asdict(self.species), **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
 
     @classmethod
     def from_json_obj(cls, obj):
         with io.parsing("trap config"):
-            species = AtomSpecies(
-                mass_kg=float(obj["mass_kg"]),
-                omega_hfs_rad_s=float(obj["omega_hfs_rad_s"]),
-                gamma_rad_s=float(obj.get("gamma_rad_s", 0.0)),
-            )
-            return cls(
-                species=species,
-                eta=float(obj["eta"]),
-                u0_joule=float(obj["u0_joule"]),
-                omega_x_rad_s=float(obj["omega_x_rad_s"]),
-                omega_y_rad_s=float(obj["omega_y_rad_s"]),
-                omega_z_rad_s=float(obj["omega_z_rad_s"]),
-                p0_watt=float(obj["p0_watt"]),
-                sigma_p_watt=float(obj["sigma_p_watt"]),
-            )
+            species = AtomSpecies(float(obj["mass_kg"]), float(obj["omega_hfs_rad_s"]),
+                                  float(obj.get("gamma_rad_s", 0.0)))
+            return cls(species, *(float(obj[f.name]) for f in fields(cls)[1:]))
 
     @classmethod
     def load_preset(cls, name):

@@ -283,6 +283,17 @@ def test_psd_pipeline(tmp_path):
     assert (tmp_path / "psd.json").exists()
 
 
+def test_psd_near_float_max(tmp_path, capsys):
+    # squared deviations of 1e304-level samples overflow unless scaled first
+    z = np.random.default_rng(25).standard_normal(1000)
+    data = tmp_path / "huge.csv"
+    io.write_csv(data, ("t_s", "power_w"), np.arange(1000) / 1e3, 1e304 * (1.0 + 0.01 * z))
+    assert cli.main(["psd", "--data", str(data), "--segment-length", "64",
+                     "--outdir", str(tmp_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["relative_variance"] == pytest.approx(0.01, rel=0.1)
+
+
 def test_psd_malformed_exit_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("t_s,power_w\n0.0,a\n0.1,b\n")

@@ -141,7 +141,8 @@ def test_fit_result_json_contract():
     phases = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
     result = fit_fringe(phases, 0.5 + 0.2 * np.cos(phases))
     obj = result.to_json_obj()
-    assert set(obj) == {"model", "params", "uncertainties", "rss", "converged"}
+    assert set(obj) == {"model", "params", "uncertainties", "rss", "n_iter", "converged"}
+    assert obj["n_iter"] == 0
     assert obj["model"] == "fringe"
     assert set(obj["params"]) == {"amplitude", "phase_rad", "baseline"}
     assert isinstance(obj["converged"], bool)
@@ -395,6 +396,113 @@ def test_lm_rejects_non_finite_trial_steps():
     assert x[0] == pytest.approx(0.5, rel=1e-9)
     assert rss < 1e-20
     assert nfev == len(finite)
+
+
+def test_damped_step_matches_lapack():
+    """_damped_step against np.linalg.solve (LAPACK dgesv) on 10,000 random
+    damped normal matrices M = J^T J + mu I of each size, with entries of
+    J^T J from about 1e-150 to 1e150 and kappa = cond_inf(M) up to 1e12.
+
+    Bound: both are LU with partial pivoting, so each returns the exact
+    solution of (M + dM) h = -g with |dM| <= gamma_6 |L||U| (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., Thm. 9.4;
+    gamma_k = k u / (1 - k u), u = 2**-53). With |l| <= 1 the rows of
+    |L||U| sum to at most 3 ||M||_inf for n = 2, so ||dM||_inf <= d ||M||_inf
+    with d = 3 gamma_6 ~ 18 u; take d = 24 u to cover a dgesv that scales by
+    a reciprocal. Each is then within kappa d / (1 - kappa d) of the exact h
+    (Higham, Thm. 7.2), so the two differ by at most
+    2 kappa d / (1 - 2 kappa d) of the LAPACK solution, 4.3e-3 at 1e12.
+    """
+    rng = np.random.default_rng(2025)
+    d = 24.0 * 2.0 ** -53
+    for n_params in (1, 2):
+        n = 10_000
+        # unit columns of J at an angle of 10^-8..1 rad, then scaled by 1e-75..1e75
+        u, v = rng.standard_normal((2, n, 6))
+        v -= u * (np.sum(u * v, axis=1) / np.sum(u * u, axis=1))[:, None]
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        angle = 10.0 ** rng.uniform(-8.0, 0.0, (n, 1))
+        cols = [u, np.cos(angle) * u + np.sin(angle) * v]
+        scale = 10.0 ** rng.uniform(-75.0, 75.0, (n, 1, 2))
+        jac = np.stack(cols[:n_params], axis=2) * scale[..., :n_params]
+        a = np.einsum("kri,krj->kij", jac, jac)
+        diag = np.diagonal(a, axis1=1, axis2=2)
+        mu = diag.max(axis=1) * 10.0 ** rng.uniform(-12.0, 0.0, n)
+        m = a + mu[:, None, None] * np.eye(n_params)
+        kappa = np.linalg.cond(m, np.inf)
+        keep = kappa <= 1e12
+        assert keep.sum() > 0.9 * n
+        # g = J^T f, times 10^-10..10^10
+        g = np.einsum("kri,kr->ki", jac, rng.standard_normal((n, 6)))
+        g *= 10.0 ** rng.uniform(-10.0, 10.0, (n, 1))
+        want = np.linalg.solve(m, -g[..., None])[..., 0]
+        for k in np.flatnonzero(keep):
+            got = np.array(fitting._damped_step(a[k].tolist(), g[k].tolist(), float(mu[k])))
+            err = np.max(np.abs(got - want[k])) / np.max(np.abs(want[k]))
+            bound = 2.0 * kappa[k] * d / (1.0 - 2.0 * kappa[k] * d)
+            assert err <= bound, (n_params, k, err, bound, kappa[k])
+        assert n_params == 1 or kappa[keep].max() > 1e9
+
+
+@pytest.mark.parametrize("n_params", [1, 2])
+def test_lm_singular_step_ends_the_run(n_params):
+    # J^T J underflows to all zeros, so mu starts at 0 and the damped
+    # system is singular while J^T f is not: no start converges
+    def fun(x):
+        return np.ones(3)
+
+    def jac(x):
+        return np.full((3, n_params), 1e-170)
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FitConvergenceError):
+            fitting._levenberg_marquardt(fun, jac, [(1.0,) * n_params], False, "no fit")
+
+
+def test_lm_infinite_damping_ends_the_run():
+    # at t ~ 1e148 the lifetime column of J^T J overflows, so the first damping
+    # is inf: (a + inf I) h = -g has h = 0, which must not pass as a converged
+    # step (LAPACK's solve saw NaN off the diagonal, inf * 0, and failed)
+    t = 1e148 * np.linspace(0.8, 11.0, 12)
+    y = np.exp(-t / 3e148)
+    y[-1] = 1e-300
+    with pytest.raises(FitConvergenceError):
+        fit_exponential(t, y)
+
+
+def test_lm_zero_predicted_gain_is_rejected():
+    # residuals 1e-165 square to 0, J^T f = 1e-315 does not, and h (mu h - g)
+    # underflows to 0 with no gain: rho = 0 / 0 rejects every trial step
+    trials = []
+
+    def fun(x):
+        trials.append(x[0])
+        return np.full(2, 1e-165)
+
+    def jac(x):
+        return np.array([[1e-150], [0.0]])
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        x, rss, _, nfev = fitting._levenberg_marquardt(fun, jac, [(0.0,)], False, "no fit")
+    assert x[0] == 0.0 and rss == 0.0
+    assert nfev == len(trials) > 2 and all(t != 0.0 for t in trials[1:])
+
+
+def test_lm_huge_gain_ratio_is_accepted():
+    # J^T f = 1e-100 is tiny against the cost 2, which drops to 0 in a well
+    # just below x = 1: once the damping brings a step into the well, rho is
+    # about 1e110, and the damping update must not overflow on (2 rho - 1)**3
+    def fun(x):
+        return np.zeros(2) if 1e-12 < 1.0 - x[0] < 1e-3 else np.ones(2)
+
+    def jac(x):
+        return np.array([[1e-100], [0.0]])
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        x, rss, _, _ = fitting._levenberg_marquardt(fun, jac, [(1.0,)], False, "no fit")
+    assert 1e-12 < 1.0 - x[0] < 1e-3
+    assert rss == 0.0
 
 
 def test_lm_evaluation_cap_raises(monkeypatch):

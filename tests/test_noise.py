@@ -278,6 +278,16 @@ def test_relative_variance():
         relative_variance(TimeSeries(10.0, np.array([1.0, -1.0])))
 
 
+def test_relative_variance_is_scale_free():
+    # the samples are scaled by an exact power of two before the squares, so
+    # 2^+-900 (whose squared deviations overflow or underflow) keep the bytes
+    x = 1.0 + 0.01 * np.random.default_rng(7).standard_normal(1000)
+    ratio = relative_variance(TimeSeries(1.0, x))
+    for k in (900, -900):
+        assert relative_variance(TimeSeries(1.0, np.ldexp(x, k))) == ratio
+    assert ratio == float(x.std(ddof=0) / x.mean())
+
+
 def test_estimate_psd_parseval():
     rng = np.random.default_rng(101)
     fs = 50e3

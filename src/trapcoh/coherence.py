@@ -346,6 +346,7 @@ def gaussian_channel_mc(sigma_dls, n_traj, seed, times) -> CoherenceSeries:
         raise DomainError("times must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     n_traj = int(n_traj)
+    sigma_dls = abs(sigma_dls)  # -0.0 passes the check; numpy's normal refuses its sign bit
     uniform = times.ndim == 1 and times.size >= 3 and np.array_equal(
         times, np.linspace(times[0], times[-1], times.size))
     total, total_sq = (_uniform_sums if uniform else _cosine_sums)(rng, sigma_dls, n_traj, times)

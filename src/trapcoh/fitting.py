@@ -2,12 +2,16 @@
 
 The fringe is linear in (b, (A/2) cos phi0, (A/2) sin phi0) and is solved
 in one step; decay and lifetime fits run Levenberg-Marquardt (its damped
-step in closed form on floats) with analytic Jacobians, which stops only when
-the scaled gradient or relative step is below 1e-12, never as the cost stalls.
-All report 1-sigma uncertainties from the Jacobian covariance at the
+step in closed form on floats) with analytic Jacobians that reuse the
+exponential of the last residual evaluation. Where the cost can no longer
+rank the steps, its rounding floor, LM hands over to undamped Gauss-Newton
+steps that must keep shrinking, so a fit lands on the stationary point to
+about 1e-12 and stops when the scaled gradient or relative step is below
+1e-12. All report 1-sigma uncertainties from the Jacobian covariance at the
 optimum and raise instead of returning partial results:
 FitConvergenceError when no start converges within the evaluation cap,
-UnidentifiableModelError when the data cannot constrain the model.
+UnidentifiableModelError when the data cannot constrain the model, which
+includes a J^T J at the optimum that is singular to working precision.
 
 With per-point uncertainties the residuals are whitened and the
 covariance is (J^T J)^-1 taken as absolute; with uniform weights it is
@@ -22,6 +26,7 @@ v = 0 are stationary points, so every LM start stays off them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +38,11 @@ from .errors import DomainError, FitConvergenceError, TrapcohError, Unidentifiab
 MAX_EVALUATIONS = 2000
 #: LM stops when the scaled gradient or the relative step falls below this
 _LM_TOLERANCE = 1e-12
+#: the rounding of f.f, relative: LM's end game starts where no step can gain more
+_FLOOR = 16.0 * sys.float_info.epsilon
+#: a Gauss-Newton step of the end game must be at most this times the last one:
+#: Deuflhard's natural monotonicity test for a full step, 1 - lambda / 4 at lambda = 1
+_CONTRACTION = 0.75
 
 
 #: residual floor below which a coherence series counts as saturated
@@ -83,11 +93,20 @@ def exponential(t_s, amplitude, lifetime_s):
 
 
 def _covariance(jac, rss, n_points, n_params, absolute):
+    """(J^T J)^-1, scaled by rss / (N - p) unless absolute. UnidentifiableModelError
+    where J^T J is singular to working precision: a diagonal entry of its inverse
+    is not positive and finite, or some column of J lies within rounding of the
+    span of the others, (J^T J)_ii ((J^T J)^-1)_ii = 1 / (1 - R_i^2) >= 1 / eps."""
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jtj)
+        cov = np.full((n_params, n_params), np.nan)
+    # on floats, whose product overflows to inf without raising under np.errstate
+    if not all(0.0 < c * a < 1.0 / sys.float_info.epsilon
+               for c, a in zip(np.diag(cov).tolist(), np.diag(jtj).tolist())):
+        raise UnidentifiableModelError(
+            "the fit's J^T J is singular: the data cannot constrain every parameter")
     if not absolute:
         cov = cov * (rss / max(n_points - n_params, 1))
     return cov
@@ -99,7 +118,7 @@ def _weights(n_points, sigma):
     w = np.asarray(sigma, dtype=float)
     if w.shape != (n_points,):
         raise DomainError("sigma must match the number of data points")
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+    if not np.all((w > 0.0) & (w < math.inf)):
         raise DomainError("sigma values must be positive and finite")
     return 1.0 / w, True
 
@@ -123,16 +142,28 @@ def _lm_run(fun, jac, x, f):
     x, with residuals f, stops; None after MAX_EVALUATIONS evaluations or at a
     singular step. Marquardt (1963) with Nielsen's damping update: Madsen,
     Nielsen & Tingleff, "Methods for non-linear least squares problems" (2004),
-    Alg. 3.16. Past the numpy products J^T J, J^T f and f.f it runs on floats."""
+    Alg. 3.16. Past the numpy products J^T J, J^T f and f.f it runs on floats.
+
+    The end game at the rounding floor: once a trial is rejected and even the
+    Gauss-Newton step h promises a gain -h.g below the rounding of f.f
+    (_FLOOR f.f), f.f can no longer rank the steps, and raising the damping
+    would only shrink the step to the relative-step stop at a point that
+    rounding chose. From there the run takes undamped Gauss-Newton steps, each
+    only while it is at most _CONTRACTION times the last (Deuflhard's natural
+    monotonicity test, "Newton Methods for Nonlinear Problems", 2004) and f.f
+    does not rise beyond the rounding of the two costs. It ends at the
+    relative-step stop, or where a step fails either test."""
     nfev, mu, nu, ff = 1, 0.0, 2.0, float(f @ f)
+    last = None  # at the floor: the length of the last Gauss-Newton step
     while True:
         jx = jac(x)
         a, g = (jx.T @ jx).tolist(), (jx.T @ f).tolist()
         diag = [row[i] for i, row in enumerate(a)]
         if all(abs(gi) <= _LM_TOLERANCE * math.sqrt(ff * di) for gi, di in zip(g, diag)):
             return x, f, jx, nfev
-        mu = mu or 1e-3 * max(diag)  # tau = 1e-3 on the first pass
-        step_stop = _LM_TOLERANCE * (math.sqrt(sum(xi * xi for xi in x)) + _LM_TOLERANCE)
+        if last is None:
+            mu = mu or 1e-3 * max(diag)  # tau = 1e-3 on the first pass
+        step_stop = _LM_TOLERANCE * (math.hypot(*x) + _LM_TOLERANCE)
         while True:  # raise the damping until a step lowers the cost
             if nfev == MAX_EVALUATIONS or not mu < math.inf:  # mu = inf: h = 0, no step
                 return None
@@ -140,34 +171,50 @@ def _lm_run(fun, jac, x, f):
                 h = _damped_step(a, g, mu)
             except ZeroDivisionError:  # singular: J^T J underflowed to zero
                 return None
-            if math.sqrt(sum(hi * hi for hi in h)) <= step_stop:
+            norm = math.hypot(*h)
+            if norm <= step_stop or last is not None and not norm <= _CONTRACTION * last:
                 return x, f, jx, nfev
             x_new = [xi + hi for xi, hi in zip(x, h)]
             f_new = fun(x_new)
             nfev += 1
             ff_new = float(f_new @ f_new)
+            if last is not None:
+                # f.f rose beyond the rounding of the two costs, or is NaN
+                if not ff_new - ff <= 2.0 * _FLOOR * ff:
+                    return x, f, jx, nfev
+                last = norm
+                break
             # not > 0 if f_new is not finite; a division by 0 is IEEE's (0 / 0 is NaN)
             gain, predicted = ff - ff_new, sum(hi * (mu * hi - gi) for hi, gi in zip(h, g))
             rho = gain / predicted if predicted else gain * math.copysign(math.inf, predicted)
             if rho > 0.0:
                 break
-            mu, nu = mu * nu, 2.0 * nu
+            try:  # strictly below: a cost of 0 has nothing left to round
+                floor = -sum(hi * gi for hi, gi in zip(_damped_step(a, g, 0.0), g)) < _FLOOR * ff
+            except ZeroDivisionError:
+                floor = False
+            mu, nu, last = (0.0, nu, math.inf) if floor else (mu * nu, 2.0 * nu, None)
         x, f, ff = x_new, f_new, ff_new
-        # 1/3 for every rho >= 1, where (2 rho - 1)**3 could overflow
-        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3), 2.0
+        if last is None:
+            # 1/3 for every rho >= 1, where (2 rho - 1)**3 could overflow
+            mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * min(rho, 1.0) - 1.0) ** 3), 2.0
 
 
 def _levenberg_marquardt(fun, jac, starts, absolute, failure):
     """(x, rss, covariance of x, evaluations) of the lowest-cost run
     that converges from `starts`; FitConvergenceError(failure) if none.
     A trial step that overflows gives inf residuals, which LM rejects;
-    starts with non-finite residuals are skipped."""
+    starts with non-finite residuals are skipped. Each run starts right
+    after its start's evaluation, so fun's last point is the run's first."""
+    runs = []
     with np.errstate(over="ignore", invalid="ignore"):  # also under the CLI's "raise"
-        starts = [(x0, fun(x0)) for x0 in map(np.asarray, starts)]
-        starts = [(x0, f0) for x0, f0 in starts if np.all(np.isfinite(f0))]
-        if not starts:
-            raise TrapcohError("fit residuals are not finite at any start", kind="non_finite")
-        runs = [_lm_run(fun, jac, x0.tolist(), f0) for x0, f0 in starts]
+        for x0 in starts:
+            x0 = [float(xi) for xi in x0]
+            f0 = fun(x0)
+            if np.all(np.isfinite(f0)):
+                runs.append(_lm_run(fun, jac, x0, f0))
+    if not runs:
+        raise TrapcohError("fit residuals are not finite at any start", kind="non_finite")
     converged = [run for run in runs if run is not None]
     if not converged:
         raise FitConvergenceError(failure)
@@ -179,7 +226,7 @@ def _levenberg_marquardt(fun, jac, starts, absolute, failure):
 def _result(model, params, cov, rss, n_iter):
     """FitResult with 1-sigma uncertainties from the diagonal of `cov`,
     whose rows follow the order of `params`."""
-    err = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    err = np.sqrt(np.diag(cov))
     return FitResult(model, {name: float(value) for name, value in params.items()},
                      dict(zip(params, err.tolist())), rss, n_iter, cov)
 
@@ -212,7 +259,7 @@ def fit_fringe(phases_rad, population, sigma=None) -> FitResult:
     cov = _covariance(jac, rss, phi.size, 3, absolute)
 
     phi0 = (phi0 + math.pi) % (2.0 * math.pi) - math.pi
-    amp = min(amp, 1.0 + 3.0 * math.sqrt(max(cov[0, 0], 0.0)))
+    amp = min(amp, 1.0 + 3.0 * math.sqrt(cov[0, 0]))
     return _result("fringe", {"amplitude": amp, "phase_rad": phi0, "baseline": base},
                    cov, rss, 0)
 
@@ -227,19 +274,29 @@ def _scaled_starts(tau, y, w):
     """
     keep = y > 0.05
     wy = (w * y)[keep] / np.max(w * y, where=keep, initial=0.0)  # at most 1: no overflow
-    design = np.column_stack([tau[keep] ** 2, tau[keep]]) * wy[:, None]
-    rhs = -np.log(y[keep]) * wy
-    best, coef = math.inf, np.zeros(2)
-    for cols in ([0, 1], [0], [1]):
-        p = np.zeros(2)
-        p[cols] = np.linalg.lstsq(design[:, cols], rhs, rcond=None)[0]
-        cost = np.sum((design @ p - rhs) ** 2)
-        if p.min() >= 0.0 and cost < best:
-            best, coef = cost, p
-    gauss, rate = np.maximum(coef, 0.1)
+    u = tau[keep] * wy
+    rows = np.array([tau[keep] * u, u, -np.log(y[keep]) * wy])  # the design's columns, the rhs
+    (a00, a01, b0), (_, a11, b1), _ = (rows @ rows.T).tolist()
+    # NNLS from the normal equations: both columns when that solution is nonnegative
+    # (no subset fits better), else the one column that lowers the cost more, by
+    # b**2 / a (the first of equal), whose solution b / a is nonnegative
+    det = a00 * a11 - a01 * a01
+    pair = [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det] if det > 0.0 else [-1.0]
+    if min(pair) >= 0.0:
+        coef = pair
+    else:
+        singles = [(0.0, [0.0, 0.0])]
+        if b0 >= 0.0 and a00 > 0.0:
+            singles.append((b0 * b0 / a00, [b0 / a00, 0.0]))
+        if b1 >= 0.0 and a11 > 0.0:
+            singles.append((b1 * b1 / a11, [0.0, b1 / a11]))
+        coef = max(singles, key=lambda single: single[0])[1]
+    gauss, rate = max(coef[0], 0.1), max(coef[1], 0.1)
 
-    ts, ys = np.stack([tau, y])[:, np.argsort(tau)]
+    order = np.argsort(tau)
+    ts, ys = tau[order].tolist(), y[order]
     k = int(np.argmax(ys < math.exp(-1.0)))  # the first point below 1/e, or 0
+    ys = ys.tolist()
     if k:
         te = ts[k - 1] + (math.exp(-1.0) - ys[k - 1]) / (ys[k] - ys[k - 1]) * (ts[k] - ts[k - 1])
     else:  # C starts below 1/e, or never falls below it
@@ -273,34 +330,39 @@ def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
             raise DomainError("time values must be nonnegative")
     if t.size < 4:
         raise DomainError("need at least 4 points to fit the decay")
-    if np.unique(t).size < 2:
+    t_max = float(t.max())
+    if t.min() == t_max:
         raise UnidentifiableModelError("all points share one time value")
-    if np.all(y > _DEGENERATE_HIGH):
+    if y.min() > _DEGENERATE_HIGH:
         raise UnidentifiableModelError(
             "series has not decayed, channels are unconstrained")
-    if np.all(y < _DEGENERATE_LOW):
+    if y.max() < _DEGENERATE_LOW:
         raise UnidentifiableModelError(
             "series is fully decayed, channels are unconstrained")
     w, absolute = _weights(t.size, sigma)
-    t_max = float(t.max())
     tau = t / t_max
     tt = tau * tau
 
+    wy = w * y
+    basis = np.column_stack([-tt, -2.0 * tau])  # J = w C basis diag(s, v)
+    last = [None, None]  # fun's last point and its w C, which jac reuses
+
     def fun(x):
         s, v = x
-        return w * (np.exp(-0.5 * s * s * tt - v * v * tau) - y)
+        last[:] = (s, v), w * np.exp(-0.5 * s * s * tt - v * v * tau)
+        return last[1] - wy
 
     def jac(x):
         s, v = x
-        wm = w * np.exp(-0.5 * s * s * tt - v * v * tau)
-        return np.column_stack([wm * (-s * tt), wm * (-2.0 * v * tau)])
+        wm = last[1] if last[0] == (s, v) else w * np.exp(-0.5 * s * s * tt - v * v * tau)
+        return wm[:, None] * basis * (s, v)
 
     (s, v), rss, cov_sv, nfev = _levenberg_marquardt(
         fun, jac, _scaled_starts(tau, y, w), absolute,
         "coherence fit did not converge from any start")
     tau_scale = np.array([math.copysign(1.0, s), 2.0 * v])  # d(sigma t_max, R t_max) / d(s, v)
     scale = tau_scale / t_max  # d(sigma, R) / d(s, v)
-    err = np.abs(scale) * np.sqrt(np.maximum(np.diag(cov_sv), 0.0))
+    err = np.abs(scale) * np.sqrt(np.diag(cov_sv))
     with np.errstate(over="ignore"):  # at a tiny t_max the variances exceed the float range
         cov = scale[:, None] * cov_sv * scale
     params = {"sigma_dls_rad_s": float(abs(s) / t_max), "pjr_per_s": float(v * v / t_max)}
@@ -316,26 +378,36 @@ def fit_exponential(t_s, survival, sigma=None) -> FitResult:
         raise DomainError("t and survival must be 1-d arrays of equal length")
     if t.size < 3:
         raise DomainError("need at least 3 points to fit a lifetime")
-    if np.unique(t).size < 2:
+    if t.min() == t.max():
         raise UnidentifiableModelError("all points share one time value")
     w, absolute = _weights(t.size, sigma)
 
     positive = y > 0.0
     if np.count_nonzero(positive) < 2:
         raise UnidentifiableModelError("too few positive survival values")
-    slope, intercept = np.polyfit(t[positive], np.log(y[positive]), 1)
+    # the start: log y = log p0 - k t by unweighted least squares, in t / max |t|
+    t_scale = float(np.max(np.abs(t)))
+    tp, log_y = t[positive] / t_scale, np.log(y[positive])
+    t_mean, log_mean = float(tp.mean()), float(log_y.mean())
+    tc = tp - t_mean
+    den = float(tc @ tc)
+    slope = float(tc @ (log_y - log_mean)) / den if den > 0.0 else 0.0
     if slope >= 0.0:
         raise UnidentifiableModelError("survival data does not decay")
-    x0 = [math.exp(intercept), -slope]
+    x0 = [math.exp(log_mean - slope * t_mean), -slope / t_scale]
+    wy = w * y
+    basis = np.column_stack([np.ones_like(t), -t])  # J = w e^(-k t) basis diag(1, p0)
+    last = [None, None]  # fun's last point and its w e^(-k t), which jac reuses
 
     def fun(x):
         p0, k = x
-        return w * (p0 * np.exp(-k * t) - y)
+        last[:] = (p0, k), w * np.exp(-k * t)
+        return p0 * last[1] - wy
 
     def jac(x):
         p0, k = x
-        damp = np.exp(-k * t)
-        return np.column_stack([w * damp, w * p0 * (-t) * damp])
+        wd = last[1] if last[0] == (p0, k) else w * np.exp(-k * t)
+        return wd[:, None] * basis * (1.0, p0)
 
     (p0, k), rss, cov_pk, nfev = _levenberg_marquardt(
         fun, jac, [x0], absolute, "lifetime fit did not converge")

@@ -269,6 +269,24 @@ def test_fit_degenerate_exit_3(tmp_path):
     assert "kind" in err["error"] and "message" in err["error"]
 
 
+@pytest.mark.parametrize("model", ["coherence", "ramsey"])
+def test_fit_singular_jtj_exit_3(model, tmp_path, capsys):
+    # J^T J at the optimum is singular to working precision; its inverse once
+    # printed "pjr_per_s": 0.0494 +- 0.0 with exit 0
+    path = tmp_path / "singular.csv"
+    write_cells(path, CoherenceSeries.COLUMNS,
+                [0.0, 722.6369997275716, 2477.6808463504435, 2601.6197856973886],
+                [0.9911146423172468, -0.026314158135003474, 0.022757628751851687,
+                 0.01399621803766588],
+                [0.1563123401423609, 0.10025455069719051, 0.14683413427440584,
+                 0.012181730983229716])
+    argv = ["fit", "--data", str(path), "--model", model, "--outdir", str(tmp_path / "out")]
+    assert cli.main(argv + (["--eta", "1.53e-4"] if model == "ramsey" else [])) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"]["kind"] == "unidentifiable"
+    assert not (tmp_path / "out").exists()
+
+
 def test_psd_pipeline(tmp_path):
     rng = np.random.default_rng(2)
     data = tmp_path / "power.csv"
@@ -631,6 +649,18 @@ def test_simulate_underflowing_sigma(tmp_path, capsys):
     assert math.isfinite(t2) and t2 == pytest.approx(math.sqrt(2.0) * 1e300, rel=1e-15)
     # both model variances vanish on this grid; the 1 / n_traj floor keeps z finite
     assert math.isfinite(doc["mc_max_z"])
+
+
+def test_simulate_negative_zero_sigma(tmp_path, capsys):
+    # -0.0 is a valid width of 0, which numpy's normal refused as "scale < 0"
+    # with a traceback; it must give the bytes of --sigma-dls 0
+    curves = []
+    for sigma in ("-0.0", "0.0"):
+        out = tmp_path / sigma
+        assert cli.main(["simulate", "--n-traj=2", "--points=3", f"--sigma-dls={sigma}",
+                         f"--outdir={out}"]) == 0
+        curves.append((out / "montecarlo.csv").read_bytes())
+    assert curves[0] == curves[1]
 
 
 #: numeric flag values: finite, zero, negative, huge, NaN and +-inf

@@ -3,6 +3,7 @@
 import math
 from importlib import resources
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +293,155 @@ def test_decay_fit_is_scale_free(k):
         assert got.params[name] == pytest.approx(ref.params[name] / k, rel=1e-9)
         assert got.uncertainties[name] == pytest.approx(ref.uncertainties[name] / k, rel=1e-9)
     assert got.rss == pytest.approx(ref.rss, rel=1e-12)
+
+
+def stationary_point_40(terms, x):
+    """(x0, x1) where the gradient J^T f of (1/2) sum f_i^2 is 0, by Newton at
+    40 digits from the float pair x. terms(x0, x1) yields per point f and its
+    first and second derivatives (f, f_0, f_1, f_00, f_01, f_11)."""
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(float(v)) for v in x]
+        for _ in range(30):
+            g0 = g1 = h00 = h01 = h11 = 0
+            for f, j0, j1, k00, k01, k11 in terms(*x):
+                g0 += f * j0
+                g1 += f * j1
+                h00 += j0 * j0 + f * k00
+                h01 += j0 * j1 + f * k01
+                h11 += j1 * j1 + f * k11
+            det = h00 * h11 - h01 * h01
+            step = [(h11 * g0 - h01 * g1) / det, (h00 * g1 - h01 * g0) / det]
+            x = [xi - si for xi, si in zip(x, step)]
+            if all(abs(si) <= mpmath.mpf(10) ** -35 * abs(xi) for si, xi in zip(step, x)):
+                return [float(xi) for xi in x]
+    raise AssertionError("Newton did not converge")
+
+
+def mp_columns(*columns):
+    return [[mpmath.mpf(float(v)) for v in col] for col in columns]
+
+
+def decay_terms(t, c, sigma):
+    """terms for f_i = (C(t_i) - c_i) / sigma_i, C = exp(-s**2 t**2 / 2 - r t), in (s, r)."""
+    def terms(s, r):
+        for ti, ci, si in zip(*mp_columns(t, c, sigma)):
+            m = mpmath.exp(-s * s * ti * ti / 2 - r * ti) / si
+            yield (m - ci / si, -s * ti ** 2 * m, -ti * m, (s * s * ti ** 4 - ti ** 2) * m,
+                   s * ti ** 3 * m, ti ** 2 * m)
+    return terms
+
+
+def exponential_terms(t, y, sigma):
+    """terms for f_i = (p0 exp(-k t_i) - y_i) / sigma_i in (p0, k)."""
+    def terms(p0, k):
+        for ti, yi, si in zip(*mp_columns(t, y, sigma)):
+            e = mpmath.exp(-k * ti) / si
+            yield p0 * e - yi / si, e, -ti * p0 * e, 0, -ti * e, ti * ti * p0 * e
+    return terms
+
+
+@pytest.mark.parametrize("k", [1e-170, 1.0, 1e3, 1e150])
+def test_decay_fit_lands_on_the_stationary_point(k):
+    # the end game takes Gauss-Newton steps while they shrink, so the fit ends
+    # on the root of J^T f = 0 to about 1e-12 at every time scale, wherever
+    # rounding in the cost would have stopped a damped step
+    rng = np.random.default_rng(4)
+    for series in [bundled_series(), *(decay_draw(rng) for _ in range(20))]:
+        t = series.t_s * k
+        fit = fit_coherence_decay(t, series.coherence, sigma=series.sigma)
+        got = [fit.params["sigma_dls_rad_s"], fit.params["pjr_per_s"]]
+        want = stationary_point_40(decay_terms(t, series.coherence, series.sigma), got)
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+
+
+@pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
+def test_exponential_fit_lands_on_the_stationary_point(k):
+    # fit_exponential runs in (p0, k) with t unscaled, so its relative-step stop
+    # weighs p0 against k: at t ~ 1e150 it stops once p0 settles, and at
+    # t ~ 1e-170 the rate column of J^T J underflows; hence the narrower range
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        t, y, sd = exponential_draw(rng)
+        fit = fit_exponential(t * k, y, sd)
+        got = [fit.params["amplitude"], 1.0 / fit.params["lifetime_s"]]
+        want = stationary_point_40(exponential_terms(t * k, y, sd), got)
+        np.testing.assert_allclose(got, want, rtol=1e-11)
+
+
+def test_decay_fit_evaluations_stay_below_the_rejection_cascade(monkeypatch):
+    # before the end game each run ended in a cascade of rejected trials, mu
+    # doubling until the step fell below 1e-12 ||x||: these 100 fits then made
+    # 3,389 residual evaluations over all starts (2,744 with the end game)
+    lm, count = fitting._levenberg_marquardt, [0]
+
+    def counting_lm(fun, jac, *rest):
+        def counted(x):
+            count[0] += 1
+            return fun(x)
+        return lm(counted, jac, *rest)
+
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", counting_lm)
+    rng = np.random.default_rng(26)
+    for _ in range(100):
+        fit_coherence_decay(decay_draw(rng))
+    assert count[0] < 3389
+
+
+@pytest.mark.parametrize("model", ["coherence", "exponential"])
+def test_jacobian_is_the_derivative_at_its_own_point(monkeypatch, model):
+    # jac reuses the exponential that fun computed last, but only at fun's last point
+    lm, captured = fitting._levenberg_marquardt, []
+
+    def capturing_lm(fun, jac, *rest):
+        captured.append((fun, jac))
+        return lm(fun, jac, *rest)
+
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", capturing_lm)
+    if model == "coherence":
+        fit_coherence_decay(bundled_series())
+    else:
+        fit_exponential(*exponential_draw(np.random.default_rng(6)))
+    (fun, jac), = captured
+    x, other = [1.3, 0.8], [0.6, 1.7]
+    fun(other)
+    jx = jac(x)  # after fun at another point
+    fun(x)
+    assert np.array_equal(jx, jac(x))
+    step = 1e-6
+    for i in range(2):
+        up, down = list(x), list(x)
+        up[i] += step
+        down[i] -= step
+        np.testing.assert_allclose(jx[:, i], (fun(up) - fun(down)) / (2.0 * step),
+                                   rtol=1e-6, atol=1e-6 * np.max(np.abs(jx)))
+
+
+#: t_s, coherence, sigma where only the row at t = 722.6 s carries the model's
+#: gradient (the later rows' J entries are below 1e-63): J^T J is singular to
+#: working precision, and its inverse once printed uncertainties of 0.0
+SINGULAR_DECAY = np.array([
+    [0.0, 0.9911146423172468, 0.1563123401423609],
+    [722.6369997275716, -0.026314158135003474, 0.10025455069719051],
+    [2477.6808463504435, 0.022757628751851687, 0.14683413427440584],
+    [2601.6197856973886, 0.01399621803766588, 0.012181730983229716]])
+
+
+def test_singular_jtj_is_unidentifiable():
+    with pytest.raises(UnidentifiableModelError, match="singular"):
+        fit_coherence_decay(*SINGULAR_DECAY.T)
+    with pytest.raises(UnidentifiableModelError, match="singular"):
+        fit_ramsey_decay(CoherenceSeries(*SINGULAR_DECAY.T), ETA_1052)
+    # a column within rounding of the other's span: the inverse of J^T J can come
+    # out with positive diagonal entries, 1 / (1 - R^2) of the scale of 1 / eps
+    u = np.array([1.0, 2.0, 3.0])
+    for jac in (np.column_stack([u, u]), np.column_stack([u, u * (1.0 + 2.0 ** -52)]),
+                np.column_stack([u, np.zeros(3)])):
+        with pytest.raises(UnidentifiableModelError):
+            fitting._covariance(jac, 1.0, 3, 2, True)
+    # a tiny but independent column is identifiable
+    cov = fitting._covariance(np.column_stack([u, 1e-150 * np.array([1.0, -1.0, 0.0])]),
+                              1.0, 3, 2, True)
+    assert np.all(np.isfinite(cov)) and np.all(np.diag(cov) > 0.0)
 
 
 def test_decay_corner_optimum_is_reached():

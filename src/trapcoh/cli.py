@@ -25,11 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io, report
-from .coherence import (CoherenceSeries, DecayParams, analytic_series, coherence,
-                        gaussian_channel_mc, t2_time)
+from .coherence import (CoherenceSeries, DecayParams, analytic_series, gaussian_channel_mc,
+                        t2_time)
 from .errors import ConfigError, DomainError, TrapcohError
-from .fitting import (_ramsey_from_decay, exponential, fit_coherence_decay,
-                      fit_exponential, fit_fringe, fringe)
+from .fitting import fit_coherence_decay, fit_exponential, fit_fringe, fit_ramsey_decay
 from .noise import NoiseSpectrum, TimeSeries, estimate_psd, relative_variance
 from .phonon import (TrapNoise, classical_thermal_rate, first_jump_survival_mc,
                      thermal_average_pjr, total_jump_rate)
@@ -154,21 +153,16 @@ def cmd_fit(args):
                                   kind="parse_error")
             eta = _load(TrapConfig, args.config, inputs).eta
         series = CoherenceSeries(*(cols[name] for name in CoherenceSeries.COLUMNS))
-        decay = fit_coherence_decay(series)
-        result = _ramsey_from_decay(decay, eta) if args.model == "ramsey" else decay
-        x_name, x, y = "t_s", series.t_s, series.coherence
-        modeled = coherence(DecayParams(decay.params["sigma_dls_rad_s"],
-                                        decay.params["pjr_per_s"]), x)
+        result = (fit_ramsey_decay(series, eta) if args.model == "ramsey"
+                  else fit_coherence_decay(series))
     elif args.model == "fringe":
         result = fit_fringe(cols["phase_rad"], cols["population"], cols.get("sigma"))
-        x_name, x, y = "phase_rad", cols["phase_rad"], cols["population"]
-        modeled = fringe(x, **result.params)
     else:
         result = fit_exponential(cols["t_s"], cols["survival"], cols.get("sigma"))
-        x_name, x, y = "t_s", cols["t_s"], cols["survival"]
-        modeled = exponential(x, **result.params)
     doc = result.to_json_obj()
     doc["meta"] = _meta(inputs)
+    x_name, y_name = FIT_COLUMNS[args.model][:2]
+    x, y, modeled = cols[x_name], cols[y_name], result.fitted
     residuals = io.csv_text((x_name, "observed", "model", "residual"), x, y, modeled, y - modeled)
     return doc, {"residuals": ("residuals.csv", residuals)}, "INFO fit rss=%g\n" % result.rss
 

@@ -17,9 +17,10 @@ With per-point uncertainties the residuals are whitened and the
 covariance is (J^T J)^-1 taken as absolute; with uniform weights it is
 scaled by rss / (N - p).
 
-The coherence decay is fitted in time scaled by its largest value, as
-C = exp(-s**2 tau**2 / 2 - v**2 tau), so the fit is scale-free and both
-channels stay nonnegative; the delta method maps s and v back. s = 0 and
+Both LM fits run in time scaled by its largest magnitude, so they are
+scale-free: the coherence decay as C = exp(-s**2 tau**2 / 2 - v**2 tau),
+where both channels stay nonnegative, and the lifetime as
+p0 exp(-kappa tau); the delta method maps the parameters back. s = 0 and
 v = 0 are stationary points, so every LM start stays off them.
 """
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coherence import (CoherenceSeries, DecayParams, t2_gradient, t2_time,
+from .coherence import (CoherenceSeries, DecayParams, coherence, t2_gradient, t2_time,
                         temperature_from_ramsey_t2star)
 from .errors import DomainError, FitConvergenceError, TrapcohError, UnidentifiableModelError
 
@@ -56,10 +57,9 @@ class FitResult:
 
     rss is the sum of squared residuals in the metric the optimizer
     minimized (whitened when per-point uncertainties were supplied).
-    covariance (rows and columns in params order) serves error propagation
-    and is not in the JSON form; n_iter counts solver evaluations (0 for fringes).
-    scaled, for the coherence decay only, is (sigma_dls, R) as DecayParams and
-    their covariance in tau = t / t_max units, and t_max.
+    covariance (rows and columns in params order) serves error propagation;
+    fitted is the model at the data points, in their order. Neither is in
+    the JSON form. n_iter counts solver evaluations (0 for fringes).
     """
 
     model: str
@@ -68,7 +68,7 @@ class FitResult:
     rss: float
     n_iter: int
     covariance: np.ndarray | None = field(default=None, repr=False)
-    scaled: tuple | None = field(default=None, repr=False)
+    fitted: np.ndarray | None = field(default=None, repr=False)
     converged = True  # a fit that does not converge raises instead
 
     def to_json_obj(self):
@@ -85,11 +85,6 @@ class FitResult:
 def fringe(phase, amplitude, phase_rad, baseline):
     """Fringe p(phi) = baseline + (amplitude/2) cos(phi - phase_rad)."""
     return baseline + 0.5 * amplitude * np.cos(phase - phase_rad)
-
-
-def exponential(t_s, amplitude, lifetime_s):
-    """Survival p(t) = amplitude exp(-t / lifetime_s)."""
-    return amplitude * np.exp(-t_s / lifetime_s)
 
 
 def _covariance(jac, rss, n_points, n_params, absolute):
@@ -223,12 +218,17 @@ def _levenberg_marquardt(fun, jac, starts, absolute, failure):
     return np.array(x), rss, _covariance(jx, rss, f.size, len(x), absolute), nfev
 
 
-def _result(model, params, cov, rss, n_iter):
-    """FitResult with 1-sigma uncertainties from the diagonal of `cov`,
-    whose rows follow the order of `params`."""
-    err = np.sqrt(np.diag(cov))
+def _result(model, params, cov_x, rss, n_iter, fitted, scale):
+    """FitResult from the covariance `cov_x` of the solver's parameters x, whose
+    rows follow the order of `params`; scale[i] = d params[i] / d x_i. The
+    uncertainties are |scale| sqrt(diag(cov_x)), taken before any square, so
+    they stay finite at time scales where the covariance of params does not."""
+    scale = np.asarray(scale)
+    err = np.abs(scale) * np.sqrt(np.diag(cov_x))
+    with np.errstate(over="ignore"):  # at a tiny time scale the variances exceed the float range
+        cov = scale[:, None] * cov_x * scale
     return FitResult(model, {name: float(value) for name, value in params.items()},
-                     dict(zip(params, err.tolist())), rss, n_iter, cov)
+                     dict(zip(params, err.tolist())), rss, n_iter, cov, fitted)
 
 
 def fit_fringe(phases_rad, population, sigma=None) -> FitResult:
@@ -261,7 +261,7 @@ def fit_fringe(phases_rad, population, sigma=None) -> FitResult:
     phi0 = (phi0 + math.pi) % (2.0 * math.pi) - math.pi
     amp = min(amp, 1.0 + 3.0 * math.sqrt(cov[0, 0]))
     return _result("fringe", {"amplitude": amp, "phase_rad": phi0, "baseline": base},
-                   cov, rss, 0)
+                   cov, rss, 0, fringe(phi, amp, phi0, base), (1.0, 1.0, 1.0))
 
 
 def _scaled_starts(tau, y, w):
@@ -306,6 +306,13 @@ def _scaled_starts(tau, y, w):
             (math.sqrt(0.2), math.sqrt(1.0 / te))]
 
 
+def _series_sigma(series):
+    """The weights of a CoherenceSeries: an all-zero sigma (analytic_series) fits
+    unweighted; any positive cell makes the column the weights, each of which
+    _weights checks."""
+    return series.sigma if np.any(series.sigma > 0.0) else None
+
+
 def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
     """Extract (sigma_dls, R) from a coherence decay.
 
@@ -317,10 +324,7 @@ def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
     """
     if isinstance(series, CoherenceSeries):
         t, y = series.t_s, series.coherence
-        # an all-zero sigma (analytic_series) fits unweighted; any positive
-        # cell makes the column the weights, each of which _weights checks
-        if sigma is None and np.any(series.sigma > 0.0):
-            sigma = series.sigma
+        sigma = _series_sigma(series) if sigma is None else sigma
     else:
         t = np.asarray(series, dtype=float)
         y = np.asarray(c, dtype=float)
@@ -360,14 +364,10 @@ def fit_coherence_decay(series, c=None, sigma=None) -> FitResult:
     (s, v), rss, cov_sv, nfev = _levenberg_marquardt(
         fun, jac, _scaled_starts(tau, y, w), absolute,
         "coherence fit did not converge from any start")
-    tau_scale = np.array([math.copysign(1.0, s), 2.0 * v])  # d(sigma t_max, R t_max) / d(s, v)
-    scale = tau_scale / t_max  # d(sigma, R) / d(s, v)
-    err = np.abs(scale) * np.sqrt(np.diag(cov_sv))
-    with np.errstate(over="ignore"):  # at a tiny t_max the variances exceed the float range
-        cov = scale[:, None] * cov_sv * scale
     params = {"sigma_dls_rad_s": float(abs(s) / t_max), "pjr_per_s": float(v * v / t_max)}
-    return FitResult("coherence_decay", params, dict(zip(params, err.tolist())), rss, nfev, cov,
-                     (DecayParams(abs(s), v * v), tau_scale[:, None] * cov_sv * tau_scale, t_max))
+    return _result("coherence_decay", params, cov_sv, rss, nfev,
+                   coherence(DecayParams(*params.values()), t),
+                   np.array([math.copysign(1.0, s), 2.0 * v]) / t_max)  # d(sigma, R) / d(s, v)
 
 
 def fit_exponential(t_s, survival, sigma=None) -> FitResult:
@@ -385,63 +385,62 @@ def fit_exponential(t_s, survival, sigma=None) -> FitResult:
     positive = y > 0.0
     if np.count_nonzero(positive) < 2:
         raise UnidentifiableModelError("too few positive survival values")
-    # the start: log y = log p0 - k t by unweighted least squares, in t / max |t|
     t_scale = float(np.max(np.abs(t)))
-    tp, log_y = t[positive] / t_scale, np.log(y[positive])
+    tau = t / t_scale
+    # the start: log y = log p0 - kappa tau by unweighted least squares
+    tp, log_y = tau[positive], np.log(y[positive])
     t_mean, log_mean = float(tp.mean()), float(log_y.mean())
     tc = tp - t_mean
     den = float(tc @ tc)
     slope = float(tc @ (log_y - log_mean)) / den if den > 0.0 else 0.0
     if slope >= 0.0:
         raise UnidentifiableModelError("survival data does not decay")
-    x0 = [math.exp(log_mean - slope * t_mean), -slope / t_scale]
+    x0 = [math.exp(log_mean - slope * t_mean), -slope]
     wy = w * y
-    basis = np.column_stack([np.ones_like(t), -t])  # J = w e^(-k t) basis diag(1, p0)
-    last = [None, None]  # fun's last point and its w e^(-k t), which jac reuses
+    basis = np.column_stack([np.ones_like(tau), -tau])  # J = w e^(-kappa tau) basis diag(1, p0)
+    last = [None, None]  # fun's last point and its w e^(-kappa tau), which jac reuses
 
     def fun(x):
-        p0, k = x
-        last[:] = (p0, k), w * np.exp(-k * t)
+        p0, kappa = x
+        last[:] = (p0, kappa), w * np.exp(-kappa * tau)
         return p0 * last[1] - wy
 
     def jac(x):
-        p0, k = x
-        wd = last[1] if last[0] == (p0, k) else w * np.exp(-k * t)
+        p0, kappa = x
+        wd = last[1] if last[0] == (p0, kappa) else w * np.exp(-kappa * tau)
         return wd[:, None] * basis * (1.0, p0)
 
-    (p0, k), rss, cov_pk, nfev = _levenberg_marquardt(
+    (p0, kappa), rss, cov_pk, nfev = _levenberg_marquardt(
         fun, jac, [x0], absolute, "lifetime fit did not converge")
-    if k <= 0.0:
+    if kappa <= 0.0:
         raise UnidentifiableModelError("fitted survival rate is not positive")
-    scale = np.diag([1.0, -1.0 / (k * k)])
-    return _result("exponential", {"amplitude": p0, "lifetime_s": 1.0 / k},
-                   scale @ cov_pk @ scale, rss, nfev)
+    params = {"amplitude": float(p0), "lifetime_s": float(t_scale / kappa)}
+    return _result("exponential", params, cov_pk, rss, nfev,
+                   params["amplitude"] * np.exp(-t / params["lifetime_s"]),
+                   (1.0, -params["lifetime_s"] / kappa))  # d(p0, lifetime) / d(p0, kappa)
 
 
 def fit_ramsey_decay(series, eta) -> FitResult:
     """Ramsey envelope 1/e time and the atom temperature it implies.
 
-    Fits the two-channel decay, takes its 1/e time as T2*, and maps it
-    to temperature via the thermometry relation with the supplied eta.
-    Uncertainties propagate through the closed-form 1/e time gradient.
+    Fits the two-channel decay of the CoherenceSeries in tau = t / t_max,
+    takes its 1/e time as T2*, and maps it to temperature via the
+    thermometry relation with the supplied eta. The T2* error propagates
+    through the closed-form 1/e time gradient in tau units, where neither
+    t2**2 nor the covariance leaves the float range at any time scale.
     """
-    return _ramsey_from_decay(fit_coherence_decay(series), eta)
-
-
-def _ramsey_from_decay(inner: FitResult, eta) -> FitResult:
-    """fit_ramsey_decay on an existing fit_coherence_decay result. The T2*
-    variance is propagated in tau = t / t_max units (inner.scaled), where
-    neither t2**2 nor the covariance leaves the float range at any time
-    scale, and scaled by t_max once at the end."""
-    params = DecayParams(inner.params["sigma_dls_rad_s"], inner.params["pjr_per_s"])
+    t_max = float(series.t_s.max()) or 1.0  # a one-point series at t = 0 fails the point count
+    decay = fit_coherence_decay(series.t_s / t_max, series.coherence, _series_sigma(series))
+    tau_params = DecayParams(*decay.params.values())
+    # divided as numpy floats, as fit_coherence_decay does, so an overflow raises under "raise"
+    params = DecayParams(*(float(np.float64(x) / t_max) for x in decay.params.values()))
     t2star = t2_time(params)
-    tau_params, tau_cov, t_max = inner.scaled
     grad = np.array(t2_gradient(tau_params))
-    t2_err = math.sqrt(max(float(grad @ tau_cov @ grad), 0.0)) * t_max
+    t2_err = math.sqrt(max(float(grad @ decay.covariance @ grad), 0.0)) * t_max
     temperature = temperature_from_ramsey_t2star(t2star, eta)
     return FitResult(
         model="ramsey_decay",
         params={"t2star_s": float(t2star), "temperature_k": float(temperature)},
         uncertainties={"t2star_s": float(t2_err),
                        "temperature_k": float(temperature * t2_err / t2star)},
-        rss=inner.rss, n_iter=inner.n_iter)
+        rss=decay.rss, n_iter=decay.n_iter, fitted=coherence(params, series.t_s))

@@ -12,11 +12,11 @@ from io import StringIO
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import trapcoh
-from trapcoh import CoherenceSeries, DecayParams, analytic_series, cli, io
+from trapcoh import CoherenceSeries, DecayParams, analytic_series, cli, fitting, io
 from trapcoh import report as report_mod
 
 
@@ -466,17 +466,61 @@ def test_estimate_rates_hot_atom(capsys):
 def test_fit_ramsey_fits_decay_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "ramsey.csv"
     write_series(path, analytic_series(DecayParams(200.0, 3.0), np.linspace(0.0, 0.01, 14)))
-    calls = []
+    # every decay fit, through whichever import, runs _levenberg_marquardt once
+    lm, calls = fitting._levenberg_marquardt, []
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        return trapcoh.fit_coherence_decay(*args, **kwargs)
+        return lm(*args)
 
-    monkeypatch.setattr(cli, "fit_coherence_decay", counting)
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", counting)
     assert cli.main(["fit", "--data", str(path), "--model", "ramsey", "--eta", "1.53e-4",
                      "--outdir", str(tmp_path)]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["model"] == "ramsey_decay"
+
+
+def fit_table(model):
+    """(column names, x, y, sigma) of a noisy weighted table for a fit model."""
+    if model == "fringe":
+        names, x = ("phase_rad", "population", "sigma"), np.linspace(0.0, 6.0, 16)
+        y = 0.5 + 0.45 * np.cos(x - 0.3)
+    elif model == "exponential":
+        names, x = ("t_s", "survival", "sigma"), np.linspace(0.0, 3.0, 12)
+        y = 0.95 * np.exp(-x / 1.2)
+    else:
+        names, x = CoherenceSeries.COLUMNS, np.linspace(0.0, 0.16, 12)
+        y = trapcoh.coherence(DecayParams(15.0, 5.14), x)
+    y = y + np.random.default_rng(27).normal(0.0, 0.01, x.size)
+    return names, x, y, np.full(x.size, 0.01)
+
+
+@pytest.mark.parametrize("model", sorted(cli.FIT_COLUMNS))
+def test_fit_residuals_are_the_fitted_curve(model, tmp_path, capsys):
+    # residuals.csv writes FitResult.fitted, the model of the printed params
+    names, x, y, sd = fit_table(model)
+    io.write_csv(tmp_path / "data.csv", names, x, y, sd)
+    assert cli.main(["fit", "--data", str(tmp_path / "data.csv"), "--model", model,
+                     "--eta", "1.53e-4", "--outdir", str(tmp_path)]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    cols = io.read_csv(tmp_path / "residuals.csv", (names[0], "observed", "model", "residual"))
+    if model in ("coherence", "ramsey"):
+        series = CoherenceSeries(x, y, sd)
+        result = (trapcoh.fit_ramsey_decay(series, 1.53e-4) if model == "ramsey"
+                  else trapcoh.fit_coherence_decay(series))
+        decay = trapcoh.fit_coherence_decay(series).params
+        curve = trapcoh.coherence(DecayParams(decay["sigma_dls_rad_s"], decay["pjr_per_s"]), x)
+    elif model == "fringe":
+        result = trapcoh.fit_fringe(x, y, sd)
+        curve = fitting.fringe(x, **params)
+    else:
+        result = trapcoh.fit_exponential(x, y, sd)
+        curve = params["amplitude"] * np.exp(-x / params["lifetime_s"])
+    assert params == result.params
+    assert np.array_equal(cols[names[0]], x) and np.array_equal(cols["observed"], y)
+    assert np.array_equal(cols["model"], result.fitted)
+    assert np.array_equal(cols["residual"], cols["observed"] - cols["model"])
+    assert np.array_equal(result.fitted, curve)
 
 
 
@@ -494,6 +538,9 @@ BAD_INPUTS = {
     "fit_zero_sigma_cell": ["fit", "--data", "zero_sigma_decay.csv", "--model", "ramsey",
                             "--eta", "1e-3"],
     "fit_data_directory": ["fit", "--data", ".", "--model", "coherence"],
+    # t_max = 0: the point count refuses the series before anything divides by it
+    "fit_ramsey_one_point_at_zero": ["fit", "--data", "one_point_decay.csv", "--model",
+                                     "ramsey", "--eta", "1e-3"],
     "estimate_rates_config_directory": ["estimate-rates", "--config", ".",
                                         "--occupation", "0,0,0"],
     "simulate_temperature_nan": ["simulate", "--temperature", "nan", "--n-traj", "100",
@@ -551,6 +598,7 @@ def test_bad_input_exit_2(name, argv, tmp_path, monkeypatch, capsys):
     decay = np.exp(-0.5 * (15.0 * t) ** 2 - 5.14 * t)
     write_cells(tmp_path / "zero_sigma_decay.csv", CoherenceSeries.COLUMNS, t, decay,
                 np.where(np.arange(8) == 2, 0.0, 0.01))
+    write_cells(tmp_path / "one_point_decay.csv", CoherenceSeries.COLUMNS, [0.0], [1.0], [0.01])
     decay[3] = math.nan
     write_cells(tmp_path / "nan_decay.csv", CoherenceSeries.COLUMNS, t, decay, np.full(8, 0.01))
     phases = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
@@ -722,10 +770,22 @@ def cli_argv(draw):
             *maybe("--occupation", occupation.map(lambda ns: ",".join(map(str, ns))))], None
 
 
+def fit_case(model, *flags):
+    """A cli_argv case that fits fit_table(model)."""
+    return ["fit", f"--model={model}", *flags], fit_table(model)
+
+
 @pytest.mark.filterwarnings("error")  # any warning on a CLI path fails the test
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cli_argv())
+# Hypothesis mixes literals of the loaded source into its draws, so the drawn
+# argv change with the tree: these run on every tree
+@example(case=(["simulate", "--n-traj=2", "--points=1", "--sigma-dls=-0.0"], None))
+@example(case=fit_case("coherence"))
+@example(case=fit_case("exponential"))
+@example(case=fit_case("fringe"))
+@example(case=fit_case("ramsey", "--config=cs133"))
 def test_cli_contract_property(tmp_path, case):
     """README contract for any numeric flags and CSV cells: exit 0, 2 or 3; a
     failure prints only a JSON error and writes no file; a success prints no

@@ -354,11 +354,10 @@ def test_decay_fit_lands_on_the_stationary_point(k):
         np.testing.assert_allclose(got, want, rtol=1e-11)
 
 
-@pytest.mark.parametrize("k", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("k", [1e-170, 1e-3, 1.0, 1e3, 1e150])
 def test_exponential_fit_lands_on_the_stationary_point(k):
-    # fit_exponential runs in (p0, k) with t unscaled, so its relative-step stop
-    # weighs p0 against k: at t ~ 1e150 it stops once p0 settles, and at
-    # t ~ 1e-170 the rate column of J^T J underflows; hence the narrower range
+    # fit_exponential runs in (p0, kappa = k max|t|) on t / max|t|, so its
+    # relative-step stop weighs p0 against a rate of order 1 at every time scale
     rng = np.random.default_rng(5)
     for _ in range(20):
         t, y, sd = exponential_draw(rng)
@@ -611,14 +610,18 @@ def test_lm_singular_step_ends_the_run(n_params):
 
 
 def test_lm_infinite_damping_ends_the_run():
-    # at t ~ 1e148 the lifetime column of J^T J overflows, so the first damping
-    # is inf: (a + inf I) h = -g has h = 0, which must not pass as a converged
-    # step (LAPACK's solve saw NaN off the diagonal, inf * 0, and failed)
-    t = 1e148 * np.linspace(0.8, 11.0, 12)
-    y = np.exp(-t / 3e148)
-    y[-1] = 1e-300
-    with pytest.raises(FitConvergenceError):
-        fit_exponential(t, y)
+    # the second column of J^T J overflows, so the first damping is inf:
+    # (a + inf I) h = -g has h = 0, which must not pass as a converged step
+    # (LAPACK's solve saw NaN off the diagonal, inf * 0, and failed)
+    def fun(x):
+        return np.ones(3)
+
+    def jac(x):
+        return np.array([[1.0, 1e200], [2.0, 0.0], [0.0, 1e200]])
+
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        with pytest.raises(FitConvergenceError):
+            fitting._levenberg_marquardt(fun, jac, [(1.0, 1.0)], False, "no fit")
 
 
 def test_lm_zero_predicted_gain_is_rejected():

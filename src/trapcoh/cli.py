@@ -11,35 +11,35 @@ them. The default output directory is taken from the TRAPCOH_OUTDIR
 environment variable when set. Each command computes first; main
 writes its files only once every text is built, so a command that
 fails before its first write leaves no file, and a command that fails
-writes no log line, only its JSON error.
+writes no log line, only its JSON error. A stdout that cannot take the
+document fails as an output file does (output_error, exit 2).
+`python -m trapcoh` and the console script run `run`, which ends the
+process with os._exit once main has returned and the streams are
+flushed; `main` runs one command in process and returns its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__, io, report
-from .coherence import (CoherenceSeries, DecayParams, analytic_series, gaussian_channel_mc,
-                        t2_time)
+from . import __version__, io
 from .errors import ConfigError, DomainError, TrapcohError
-from .fitting import fit_coherence_decay, fit_exponential, fit_fringe, fit_ramsey_decay
-from .noise import NoiseSpectrum, TimeSeries, estimate_psd, relative_variance
-from .phonon import (TrapNoise, classical_thermal_rate, first_jump_survival_mc,
-                     thermal_average_pjr, total_jump_rate)
-from .sequences import (FilterCurve, PulseSequence, _log_grid, cpmg, filtered_sigma, ramsey,
-                        sample_filter, spin_echo)
-from .trap import (FixedOccupation, ThermalOccupation, TrapConfig, dls_sigma,
-                   thermal_average_dls_sigma)
+
+# Each cmd_* imports the modules it needs, numpy among them, when it runs, so a
+# process loads only its own subcommand's code, and --help, --version and a
+# command line that does not parse load no numpy at all.
 
 #: CSV columns each fit model needs; a "sigma" column, when present, weights the fit
-FIT_COLUMNS = {"coherence": CoherenceSeries.COLUMNS, "fringe": ("phase_rad", "population"),
-               "exponential": ("t_s", "survival"), "ramsey": CoherenceSeries.COLUMNS}
+#: (the decay models' are CoherenceSeries.COLUMNS)
+FIT_COLUMNS = {"coherence": ("t_s", "coherence", "sigma"),
+               "fringe": ("phase_rad", "population"),
+               "exponential": ("t_s", "survival"), "ramsey": ("t_s", "coherence", "sigma")}
 
 
 def _read(value, inputs):
@@ -58,7 +58,7 @@ def _meta(inputs, seed=None):
 
 
 def _series_csv(series):
-    return io.csv_text(CoherenceSeries.COLUMNS, series.t_s, series.coherence, series.sigma)
+    return io.csv_text(series.COLUMNS, series.t_s, series.coherence, series.sigma)
 
 
 def _mc_max_z(params, n_traj, t, values) -> float:
@@ -71,6 +71,7 @@ def _mc_max_z(params, n_traj, t, values) -> float:
     adds 1 / n_traj, the resolution of a share of n_traj trajectories, so the
     score stays finite where var(G S) vanishes (t = 0, or s = 0).
     """
+    import numpy as np
     g = np.exp(-0.5 * (params.sigma_dls * t) ** 2)
     s = np.exp(-params.pjr * t)
     v_g = np.maximum(0.5 * (1.0 + g ** 4) - g * g, 0.0) / n_traj
@@ -79,13 +80,16 @@ def _mc_max_z(params, n_traj, t, values) -> float:
     return float(np.max(np.abs(values - g * s) / err))
 
 
-def _parse_occupation(text) -> FixedOccupation:
+def _parse_occupation(text):
+    from .trap import FixedOccupation
     with io.parsing(f"occupation {text!r}"):
         nx, ny, nz = (int(p) for p in text.split(","))
     return FixedOccupation(nx, ny, nz)
 
 
-def _trap_noise(args, inputs) -> TrapNoise:
+def _trap_noise(args, inputs):
+    from .noise import NoiseSpectrum
+    from .phonon import TrapNoise
     spring = _load(NoiseSpectrum, args.spring_psd, inputs) if args.spring_psd else None
     position = _load(NoiseSpectrum, args.position_psd, inputs) if args.position_psd else None
     return TrapNoise.uniform(spring=spring, position=position)
@@ -95,6 +99,12 @@ def _trap_noise(args, inputs) -> TrapNoise:
 # label -> (file name, text); main writes them.
 
 def cmd_simulate(args):
+    import numpy as np
+
+    from .coherence import (CoherenceSeries, DecayParams, analytic_series, gaussian_channel_mc,
+                            t2_time)
+    from .phonon import first_jump_survival_mc, thermal_average_pjr, total_jump_rate
+    from .trap import ThermalOccupation, TrapConfig, dls_sigma, thermal_average_dls_sigma
     inputs = {}
     if args.points < 1:
         raise DomainError("need at least one time point")
@@ -142,6 +152,8 @@ def cmd_simulate(args):
 
 
 def cmd_fit(args):
+    from .coherence import CoherenceSeries
+    from .fitting import fit_coherence_decay, fit_exponential, fit_fringe, fit_ramsey_decay
     inputs = {}
     cols = io.parse_csv(*_read(args.data, inputs), FIT_COLUMNS[args.model])
 
@@ -151,6 +163,7 @@ def cmd_fit(args):
             if args.config is None:
                 raise ConfigError("ramsey fit needs --eta or --config",
                                   kind="parse_error")
+            from .trap import TrapConfig
             eta = _load(TrapConfig, args.config, inputs).eta
         series = CoherenceSeries(*(cols[name] for name in CoherenceSeries.COLUMNS))
         result = (fit_ramsey_decay(series, eta) if args.model == "ramsey"
@@ -168,6 +181,9 @@ def cmd_fit(args):
 
 
 def cmd_psd(args):
+    import numpy as np
+
+    from .noise import NoiseSpectrum, TimeSeries, estimate_psd, relative_variance
     inputs = {}
     series = TimeSeries.parse(*_read(args.data, inputs))
     spectrum = estimate_psd(series, args.segment_length, args.overlap, kind=args.kind)
@@ -187,7 +203,8 @@ def cmd_psd(args):
     }
 
 
-def _build_sequence(args, inputs) -> PulseSequence:
+def _build_sequence(args, inputs):
+    from .sequences import PulseSequence, cpmg, ramsey, spin_echo
     if args.ramsey is not None:
         return ramsey(args.ramsey)
     if args.echo is not None:
@@ -200,8 +217,10 @@ def _build_sequence(args, inputs) -> PulseSequence:
 
 
 def cmd_filter(args):
+    from .noise import NoiseSpectrum
+    from .sequences import FilterCurve, _log_grid, filtered_sigma, sample_filter
     inputs = {}
-    if not 0.0 < args.f_min < args.f_max < np.inf:
+    if not 0.0 < args.f_min < args.f_max < math.inf:
         raise DomainError("frequency range must satisfy 0 < f_min < f_max < inf")
     if args.points < 1:
         raise DomainError("need at least one frequency point")
@@ -223,6 +242,8 @@ def cmd_filter(args):
 
 
 def cmd_estimate_rates(args):
+    from .phonon import classical_thermal_rate, thermal_average_pjr, total_jump_rate
+    from .trap import ThermalOccupation, TrapConfig
     inputs = {}
     cfg = _load(TrapConfig, args.config, inputs)
     noise = _trap_noise(args, inputs)
@@ -256,6 +277,7 @@ def cmd_estimate_rates(args):
 
 
 def cmd_report(args):
+    from . import report
     rows = report.build_report(mc_seed=args.seed)
     doc = report.to_json_obj(rows)
     doc["meta"] = _meta({}, args.seed)
@@ -345,11 +367,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc) -> int:
+    """Report `exc` as one JSON error line on stderr; its exit code. Float overflow
+    or division by zero would make the result inf or NaN (non_finite); an array
+    larger than the host can allocate is out_of_memory."""
+    if not isinstance(exc, TrapcohError):
+        kind = "out_of_memory" if isinstance(exc, MemoryError) else "non_finite"
+        exc = TrapcohError(f"{type(exc).__name__}: {exc}", kind=kind)
+    json.dump({"error": {"kind": exc.kind, "message": str(exc)}}, sys.stderr, sort_keys=True)
+    sys.stderr.write("\n")
+    # bad input is exit 2; a numerical failure (fit, report) is exit 3
+    return 2 if isinstance(exc, (ConfigError, DomainError)) else 3
+
+
+def _stdout_error(exc) -> ConfigError:
+    """stdout that cannot take the document (a full disk, a closed pipe) fails
+    as an output file does."""
+    return ConfigError(f"cannot write stdout: {exc.strerror}", kind="output_error")
+
+
 def main(argv=None) -> int:
+    """Run one command in this process; its exit code. --help and --version
+    raise argparse's SystemExit(0)."""
     try:
         # --help and --version exit here; any other bad command line is a parse_error
         args = build_parser().parse_args(argv)
-        # numpy raises FloatingPointError, an ArithmeticError: non_finite below
+        import numpy as np
+        # numpy raises FloatingPointError, an ArithmeticError: non_finite
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             doc, files, *log = args.func(args)
         if files:
@@ -359,19 +403,14 @@ def main(argv=None) -> int:
         for name, content in files.values():
             io.write_text(out / name, content)
     except (TrapcohError, ArithmeticError, MemoryError) as exc:
-        # float overflow or division by zero: the result would be inf or NaN;
-        # an array larger than the host can allocate is out_of_memory
-        if not isinstance(exc, TrapcohError):
-            kind = "out_of_memory" if isinstance(exc, MemoryError) else "non_finite"
-            exc = TrapcohError(f"{type(exc).__name__}: {exc}", kind=kind)
-        json.dump({"error": {"kind": exc.kind, "message": str(exc)}},
-                  sys.stderr, sort_keys=True)
-        sys.stderr.write("\n")
-        # bad input is exit 2; a numerical failure (fit, report) is exit 3
-        return 2 if isinstance(exc, (ConfigError, DomainError)) else 3
+        return _fail(exc)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        return _fail(_stdout_error(exc))
     # a command's log line, like its files, only once it has succeeded
     sys.stderr.writelines(log)
-    sys.stdout.write(text)
     if doc.get("all_passed", True):
         return 0
     # a report with failing rows still writes its files and prints its document
@@ -379,5 +418,23 @@ def main(argv=None) -> int:
     return 3
 
 
+def run():
+    """Entry point of `python -m trapcoh` and the console script: main, a flush
+    of stdout and stderr, then os._exit with main's code. The process skips
+    interpreter teardown, so atexit hooks do not run; call main in process for
+    those."""
+    try:
+        code = main()  # which has flushed the document it wrote, or failed
+    except SystemExit as exc:  # --help and --version, whose text argparse wrote
+        code = exc.code or 0
+        try:
+            sys.stdout.flush()
+        except OSError as err:
+            code = _fail(_stdout_error(err))
+    with contextlib.suppress(OSError):  # a broken stderr has nothing left to report on
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -59,7 +59,9 @@ class FitResult:
     minimized (whitened when per-point uncertainties were supplied).
     covariance (rows and columns in params order) serves error propagation;
     fitted is the model at the data points, in their order. Neither is in
-    the JSON form. n_iter counts solver evaluations (0 for fringes).
+    the JSON form. n_iter counts solver evaluations (0 for fringes). An rss
+    or an uncertainty that is not finite raises TrapcohError (non_finite),
+    as the CLI refuses it, whatever numpy's error state.
     """
 
     model: str
@@ -70,6 +72,11 @@ class FitResult:
     covariance: np.ndarray | None = field(default=None, repr=False)
     fitted: np.ndarray | None = field(default=None, repr=False)
     converged = True  # a fit that does not converge raises instead
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, (self.rss, *self.uncertainties.values()))):
+            raise TrapcohError(f"{self.model} fit: the rss or an uncertainty is not finite",
+                               kind="non_finite")
 
     def to_json_obj(self):
         return {
@@ -91,7 +98,9 @@ def _covariance(jac, rss, n_points, n_params, absolute):
     """(J^T J)^-1, scaled by rss / (N - p) unless absolute. UnidentifiableModelError
     where J^T J is singular to working precision: a diagonal entry of its inverse
     is not positive and finite, or some column of J lies within rounding of the
-    span of the others, (J^T J)_ii ((J^T J)^-1)_ii = 1 / (1 - R_i^2) >= 1 / eps."""
+    span of the others, (J^T J)_ii ((J^T J)^-1)_ii = 1 / (1 - R_i^2) >= 1 / eps.
+    Callers run it under np.errstate(over="ignore", invalid="ignore"), so that a
+    J^T J that overflows is inf, and singular, whatever the caller's error state."""
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
@@ -200,22 +209,25 @@ def _levenberg_marquardt(fun, jac, starts, absolute, failure):
     that converges from `starts`; FitConvergenceError(failure) if none.
     A trial step that overflows gives inf residuals, which LM rejects;
     starts with non-finite residuals are skipped. Each run starts right
-    after its start's evaluation, so fun's last point is the run's first."""
+    after its start's evaluation, so fun's last point is the run's first.
+    The ranking, the rss and the covariance run under the same error state
+    as LM, so an rss or a J^T J that overflows is inf, in the library and
+    under the CLI's "raise" alike: FitResult or _covariance refuses it."""
     runs = []
-    with np.errstate(over="ignore", invalid="ignore"):  # also under the CLI's "raise"
+    with np.errstate(over="ignore", invalid="ignore"):
         for x0 in starts:
             x0 = [float(xi) for xi in x0]
             f0 = fun(x0)
             if np.all(np.isfinite(f0)):
                 runs.append(_lm_run(fun, jac, x0, f0))
-    if not runs:
-        raise TrapcohError("fit residuals are not finite at any start", kind="non_finite")
-    converged = [run for run in runs if run is not None]
-    if not converged:
-        raise FitConvergenceError(failure)
-    x, f, jx, nfev = min(converged, key=lambda run: run[1] @ run[1])  # the first of equal costs
-    rss = float(f @ f)
-    return np.array(x), rss, _covariance(jx, rss, f.size, len(x), absolute), nfev
+        if not runs:
+            raise TrapcohError("fit residuals are not finite at any start", kind="non_finite")
+        converged = [run for run in runs if run is not None]
+        if not converged:
+            raise FitConvergenceError(failure)
+        x, f, jx, nfev = min(converged, key=lambda run: run[1] @ run[1])  # first of equal costs
+        rss = float(f @ f)
+        return np.array(x), rss, _covariance(jx, rss, f.size, len(x), absolute), nfev
 
 
 def _result(model, params, cov_x, rss, n_iter, fitted, scale):
@@ -224,8 +236,10 @@ def _result(model, params, cov_x, rss, n_iter, fitted, scale):
     uncertainties are |scale| sqrt(diag(cov_x)), taken before any square, so
     they stay finite at time scales where the covariance of params does not."""
     scale = np.asarray(scale)
-    err = np.abs(scale) * np.sqrt(np.diag(cov_x))
-    with np.errstate(over="ignore"):  # at a tiny time scale the variances exceed the float range
+    # at a tiny time scale the variances exceed the float range; an uncertainty
+    # that does too is inf, which FitResult refuses
+    with np.errstate(over="ignore"):
+        err = np.abs(scale) * np.sqrt(np.diag(cov_x))
         cov = scale[:, None] * cov_x * scale
     return FitResult(model, {name: float(value) for name, value in params.items()},
                      dict(zip(params, err.tolist())), rss, n_iter, cov, fitted)
@@ -252,11 +266,13 @@ def fit_fringe(phases_rad, population, sigma=None) -> FitResult:
     base, c1, c2 = coef
     amp, phi0 = 2.0 * math.hypot(c1, c2), math.atan2(c2, c1)
 
-    resid = w * (fringe(phi, amp, phi0, base) - y)
-    rss = float(np.dot(resid, resid))
-    jac = np.column_stack([w * 0.5 * np.cos(phi - phi0),
-                           w * 0.5 * amp * np.sin(phi - phi0), w])
-    cov = _covariance(jac, rss, phi.size, 3, absolute)
+    # an overflow gives inf, which _covariance or FitResult refuses under any error state
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = w * (fringe(phi, amp, phi0, base) - y)
+        rss = float(np.dot(resid, resid))
+        jac = np.column_stack([w * 0.5 * np.cos(phi - phi0),
+                               w * 0.5 * amp * np.sin(phi - phi0), w])
+        cov = _covariance(jac, rss, phi.size, 3, absolute)
 
     phi0 = (phi0 + math.pi) % (2.0 * math.pi) - math.pi
     amp = min(amp, 1.0 + 3.0 * math.sqrt(cov[0, 0]))

@@ -14,10 +14,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .errors import ConfigError, TrapcohError
 
@@ -43,6 +40,7 @@ def _read(path) -> bytes:
 
 
 def _preset(name) -> bytes:
+    from importlib import resources  # here, as numpy below: only the commands that use it
     ref = resources.files("trapcoh.data").joinpath(f"{name}.json")
     if not ref.is_file():
         raise ConfigError(f"no file or bundled preset named {name!r}", kind="config_not_found")
@@ -78,6 +76,7 @@ def parse_json(data, source):
 def parse_csv(data, source, required):
     """Columns of a comma-separated CSV by header name, as float arrays; each
     name once, those in `required` present, each row one finite cell per name."""
+    import numpy as np
     with parsing(source):
         lines = [line for line in data.decode().splitlines() if line.strip()]
         header = [name.strip() for name in lines[0].split(",")] if lines else []
@@ -125,6 +124,7 @@ def write_json(path, obj):
 def csv_text(names, *columns):
     """Header row `names`, then one row per index of the equal-length
     columns; a NaN or inf cell is ``non_finite``, as in dumps."""
+    import numpy as np
     if not all(np.all(np.isfinite(col)) for col in columns):
         raise TrapcohError("CSV column holds a NaN or inf", kind="non_finite")
     rows = [",".join(repr(float(v)) for v in row) + "\n" for row in zip(*columns)]

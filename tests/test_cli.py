@@ -1,5 +1,6 @@
 """Command-line interface: contracts, determinism, exit codes."""
 
+import errno
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from importlib import resources
 from io import StringIO
 
 import numpy as np
@@ -20,13 +22,14 @@ from trapcoh import CoherenceSeries, DecayParams, analytic_series, cli, fitting,
 from trapcoh import report as report_mod
 
 
-def run_cli(*args, cwd, env_extra=None):
+def run_cli(*args, cwd, env_extra=None, stdout=subprocess.PIPE):
     """Run ``python -m trapcoh`` in ``cwd`` against the imported package.
 
     The directory holding the ``trapcoh`` this process imported goes first
     on the child's ``PYTHONPATH``, so a relative path from the caller or an
     installed copy cannot stand in for it. Output defaults to ``cwd``
     whatever ``TRAPCOH_OUTDIR`` the caller has; ``env_extra`` overrides.
+    stdout is captured unless given an open file.
     """
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(trapcoh.__file__)))
@@ -37,7 +40,7 @@ def run_cli(*args, cwd, env_extra=None):
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "trapcoh", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd, env=env)
+        stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd, env=env)
 
 
 def write_series(path, series):
@@ -256,6 +259,7 @@ def test_fit_missing_file_exit_2(tmp_path):
 def test_fit_unknown_model_exit_2(tmp_path):
     proc = run_cli("fit", "--data", "x.csv", "--model", "sinusoid", cwd=tmp_path)
     assert proc.returncode == 2
+    assert assert_error_only(proc.stdout, proc.stderr)["kind"] == "parse_error"
 
 
 def test_fit_degenerate_exit_3(tmp_path):
@@ -265,8 +269,8 @@ def test_fit_degenerate_exit_3(tmp_path):
     write_series(path, series)
     proc = run_cli("fit", "--data", path, "--model", "coherence", cwd=tmp_path)
     assert proc.returncode == 3
-    err = json.loads(proc.stderr.splitlines()[-1])
-    assert "kind" in err["error"] and "message" in err["error"]
+    assert assert_error_only(proc.stdout, proc.stderr)["kind"] == "unidentifiable"
+    assert sorted(os.listdir(tmp_path)) == ["flat.csv"]
 
 
 @pytest.mark.parametrize("model", ["coherence", "ramsey"])
@@ -627,6 +631,130 @@ def test_help_and_version_exit_0(flag, capsys):
     assert exit_info.value.code == 0
     out, err = capsys.readouterr()
     assert out.strip() and err == ""
+
+
+# The process entry point, cli.run: main, a flush, then os._exit with main's code.
+
+@pytest.mark.parametrize("flag,text", [("--help", "usage: trapcoh"),
+                                       ("--version", trapcoh.__version__ + "\n")])
+def test_process_help_and_version_exit_0(flag, text, tmp_path):
+    proc = run_cli(flag, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(text) and proc.stderr == ""
+
+
+BUNDLED_DECAY = str(resources.files("trapcoh.data") / "decay_noisy_synthetic.csv")
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["simulate", "--sigma-dls", "15.0", "--pjr", "5.14", "--t-max", "0.16", "--points", "33",
+      "--n-traj", "20000"], ["analytic.csv", "montecarlo.csv", "params.json"]),
+    (["fit", "--data", BUNDLED_DECAY, "--model", "coherence"], ["residuals.csv"]),
+], ids=["simulate", "fit_coherence"])
+def test_process_writes_the_bytes_of_main(argv, names, tmp_path):
+    """The README examples as a process and through cli.main in this one:
+    the same stdout, stderr and files, byte for byte."""
+    out = tmp_path / "out"
+    argv = [*argv, "--outdir", str(out)]
+    proc = run_cli(*argv, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    files = {name: (out / name).read_bytes() for name in names}
+    shutil.rmtree(out)
+    stdout, stderr = StringIO(), StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        assert cli.main(argv) == 0
+    assert (proc.stdout, proc.stderr) == (stdout.getvalue(), stderr.getvalue())
+    assert {name: (out / name).read_bytes() for name in names} == files
+    assert sorted(os.listdir(out)) == sorted(names)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_process_stdout_failure_is_output_error_exit_2(unbuffered, tmp_path):
+    """stdout on a full device fails as an output file does: one JSON
+    output_error and exit 2, whether the write or the flush raises."""
+    with open("/dev/full", "w") as full:
+        proc = run_cli("report", "--seed", "11", cwd=tmp_path, stdout=full,
+                       env_extra={"PYTHONUNBUFFERED": unbuffered})
+    assert proc.returncode == 2
+    assert assert_error_only("", proc.stderr)["kind"] == "output_error"
+
+
+class FailingStream(StringIO):
+    """A text stream whose `method` raises ENOSPC, as a write to a full disk does."""
+
+    def __init__(self, method):
+        super().__init__()
+        self.method = method
+
+    def write(self, text):
+        self.fail("write")
+        return super().write(text)
+
+    def flush(self):
+        self.fail("flush")
+
+    def fail(self, method):
+        if method == self.method:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_main_stdout_failure_is_output_error_exit_2(method, tmp_path):
+    # the command succeeded and wrote its files, so no INFO line follows the error
+    err = StringIO()
+    with redirect_stdout(FailingStream(method)), redirect_stderr(err):
+        code = cli.main(["simulate", "--n-traj", "100", "--points", "3",
+                         "--outdir", str(tmp_path)])
+    assert code == 2
+    assert assert_error_only("", err.getvalue()) == {
+        "kind": "output_error", "message": f"cannot write stdout: {os.strerror(errno.ENOSPC)}"}
+
+
+#: t_s and survival (unweighted) whose fits overflow past LM, and the kind
+#: that the library and the CLI both give
+OVERFLOWING_LIFETIMES = {
+    # f.f overflows: the rss and both uncertainties would be inf
+    "rss": ([1e226, 5e260, 1e270], [1e300, 0.1, 0.1], "non_finite"),
+    # J^T J at the optimum overflows: singular
+    "jtj": ([4e258, 7e260, 5e261], [1e300, 0.7, 0.5], "unidentifiable"),
+}
+
+
+@pytest.mark.parametrize("t,survival,kind", OVERFLOWING_LIFETIMES.values(),
+                         ids=OVERFLOWING_LIFETIMES.keys())
+def test_overflowing_fit_has_one_verdict(t, survival, kind, tmp_path, capsys):
+    """fit_exponential under numpy's default error state, under the CLI's
+    "raise", and through cli.main: the same error kind."""
+    for state in ({}, {"over": "raise", "invalid": "raise", "divide": "raise"}):
+        with np.errstate(**state), pytest.raises(trapcoh.TrapcohError) as info:
+            trapcoh.fit_exponential(t, survival)
+        assert info.value.kind == kind, state
+    path = tmp_path / "survival.csv"
+    write_cells(path, ("t_s", "survival"), t, survival)
+    assert cli.main(["fit", "--data", str(path), "--model", "exponential",
+                     "--outdir", str(tmp_path / "out")]) == 3
+    assert assert_error_only(*capsys.readouterr())["kind"] == kind
+
+
+def test_overflowing_fringe_has_one_verdict(tmp_path, capsys):
+    # the weighted residual of the 1e300 cell squares past the float range
+    phases = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    population = 0.5 + 0.3 * np.cos(phases)
+    population[1] = 1e300
+    for state in ({}, {"over": "raise", "invalid": "raise", "divide": "raise"}):
+        with np.errstate(**state), pytest.raises(trapcoh.UnidentifiableModelError):
+            trapcoh.fit_fringe(phases, population, np.full(8, 0.02))
+    path = tmp_path / "fringe.csv"
+    write_cells(path, ("phase_rad", "population", "sigma"), phases, population, np.full(8, 0.02))
+    assert cli.main(["fit", "--data", str(path), "--model", "fringe",
+                     "--outdir", str(tmp_path / "out")]) == 3
+    assert assert_error_only(*capsys.readouterr())["kind"] == "unidentifiable"
+
+
+def test_fit_columns_of_the_decay_models():
+    # spelled out in cli, so that parsing a command line loads no numpy
+    assert cli.FIT_COLUMNS["coherence"] == cli.FIT_COLUMNS["ramsey"] == CoherenceSeries.COLUMNS
 
 
 NON_FINITE = {

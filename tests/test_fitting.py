@@ -728,3 +728,12 @@ def test_ramsey_decay_noisy_consistency():
     assert pull < 3.0
     with pytest.raises(DomainError):
         fit_ramsey_decay(series, 0.0)
+
+
+@pytest.mark.parametrize("rss,err", [(math.inf, 1.0), (1.0, math.inf), (1.0, math.nan)],
+                         ids=["rss_inf", "uncertainty_inf", "uncertainty_nan"])
+def test_fit_result_refuses_what_the_cli_cannot_print(rss, err):
+    # a document with an inf or NaN never exits 0, so no converged fit holds one
+    with pytest.raises(TrapcohError) as info:
+        fitting.FitResult("exponential", {"amplitude": 1.0}, {"amplitude": err}, rss, 3)
+    assert info.value.kind == "non_finite"

@@ -13,9 +13,10 @@ writes its files only once every text is built, so a command that
 fails before its first write leaves no file, and a command that fails
 writes no log line, only its JSON error. A stdout that cannot take the
 document fails as an output file does (output_error, exit 2).
-`python -m trapcoh` and the console script run `run`, which ends the
-process with os._exit once main has returned and the streams are
-flushed; `main` runs one command in process and returns its exit code.
+`main` runs one command line in process and returns its exit code for
+every command line, 0 after --help and --version, whose text it writes
+as it writes a document. `python -m trapcoh` and the console script run
+`run`: main, then os._exit with its code.
 """
 
 from __future__ import annotations
@@ -285,12 +286,21 @@ def cmd_report(args):
                  "json": ("report.json", io.dumps(doc))}
 
 
+class _Printed(Exception):
+    """The text of --help or --version, which main prints."""
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as one JSON parse_error, as every other
-    bad input is; its subcommand parsers are of this class too."""
+    bad input is, and hands the text of --help and --version to main, so
+    argparse neither writes nor exits; its subcommand parsers are of this
+    class too."""
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}", kind="parse_error")
+
+    def _print_message(self, message, file=None):
+        raise _Printed(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,17 +390,11 @@ def _fail(exc) -> int:
     return 2 if isinstance(exc, (ConfigError, DomainError)) else 3
 
 
-def _stdout_error(exc) -> ConfigError:
-    """stdout that cannot take the document (a full disk, a closed pipe) fails
-    as an output file does."""
-    return ConfigError(f"cannot write stdout: {exc.strerror}", kind="output_error")
-
-
 def main(argv=None) -> int:
-    """Run one command in this process; its exit code. --help and --version
-    raise argparse's SystemExit(0)."""
+    """Run one command line in this process: write its document, or the text
+    of --help or --version, to stdout; its exit code."""
+    log, code = [], 0
     try:
-        # --help and --version exit here; any other bad command line is a parse_error
         args = build_parser().parse_args(argv)
         import numpy as np
         # numpy raises FloatingPointError, an ArithmeticError: non_finite
@@ -402,35 +406,29 @@ def main(argv=None) -> int:
         text = io.dumps(doc)
         for name, content in files.values():
             io.write_text(out / name, content)
+        if not doc.get("all_passed", True):
+            # a report with failing rows still writes its files and prints its document
+            log.append("ERROR report has failing rows\n")
+            code = 3
+    except _Printed as printed:
+        text = str(printed)
     except (TrapcohError, ArithmeticError, MemoryError) as exc:
         return _fail(exc)
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except OSError as exc:
-        return _fail(_stdout_error(exc))
+    except OSError as exc:  # a full disk, a closed pipe: as an output file fails
+        return _fail(ConfigError(f"cannot write stdout: {exc.strerror}", kind="output_error"))
     # a command's log line, like its files, only once it has succeeded
     sys.stderr.writelines(log)
-    if doc.get("all_passed", True):
-        return 0
-    # a report with failing rows still writes its files and prints its document
-    sys.stderr.write("ERROR report has failing rows\n")
-    return 3
+    return code
 
 
 def run():
     """Entry point of `python -m trapcoh` and the console script: main, a flush
-    of stdout and stderr, then os._exit with main's code. The process skips
-    interpreter teardown, so atexit hooks do not run; call main in process for
-    those."""
-    try:
-        code = main()  # which has flushed the document it wrote, or failed
-    except SystemExit as exc:  # --help and --version, whose text argparse wrote
-        code = exc.code or 0
-        try:
-            sys.stdout.flush()
-        except OSError as err:
-            code = _fail(_stdout_error(err))
+    of stderr, then os._exit with main's code. The process skips interpreter
+    teardown, so atexit hooks do not run; call main in process for those."""
+    code = main()  # which has flushed all it wrote to stdout, or failed
     with contextlib.suppress(OSError):  # a broken stderr has nothing left to report on
         sys.stderr.flush()
     os._exit(code)

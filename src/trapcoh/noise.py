@@ -193,14 +193,23 @@ class TimeSeries:
         return cls(1.0 / dt.mean(), cols["power_w"])
 
 
+def _scaled_down(samples):
+    """(samples times 2**-e, e), e >= 0 the least power of two that takes every
+    |sample| below 1: exact, and no sum of up to 2**1023 of them overflows."""
+    e = max(int(np.frexp(np.abs(samples).max())[1]), 0)
+    return (np.ldexp(samples, -e) if e else samples), e
+
+
 def relative_variance(series: TimeSeries) -> float:
     """Population standard deviation divided by the mean (dimensionless), both
-    of the samples times 2**-k for mean = m 2**k: exact, and no square overflows."""
-    mean = series.samples.mean()
+    of the samples times 2**-k for mean = m 2**k, after _scaled_down: exact, and
+    neither a sum nor a square overflows."""
+    x, _ = _scaled_down(series.samples)
+    mean = x.mean()
     if mean <= 0.0:
         raise DomainError("relative variance needs a positive mean level")
     m, k = np.frexp(mean)
-    return float(np.ldexp(series.samples, -k).std(ddof=0) / m)
+    return float(np.ldexp(x, -k).std(ddof=0) / m)
 
 
 def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
@@ -213,12 +222,12 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
 
     Welch's estimator (IEEE Trans. Audio Electroacoust. 15, 70 (1967)):
     segments of `segment_length` samples overlapping by
-    round(overlap * segment_length), each less its own mean (of the raw
-    samples) times w / mean, w the periodic Hann window (the one place the
-    1/mean is applied), averaged |rfft|^2 scaled to a one-sided density by
-    2 / (fs sum w^2) (Heinzel, Ruediger & Schilling, "Spectrum and spectral
-    density estimation by the DFT", 2002); the Nyquist bin of an even
-    segment is not doubled. Blocks of _BLOCK_ELEMENTS samples sum to the
+    round(overlap * segment_length), each less its own mean (of the samples
+    after _scaled_down) times w / mean, w the periodic Hann window (the one
+    place the 1/mean is applied), averaged |rfft|^2 scaled to a one-sided
+    density by 2 / (fs sum w^2) (Heinzel, Ruediger & Schilling, "Spectrum
+    and spectral density estimation by the DFT", 2002); the Nyquist bin of
+    an even segment is not doubled. Blocks of _BLOCK_ELEMENTS samples sum to the
     bytes of the one-array form at any number of segments.
     """
     n = series.samples.size
@@ -231,11 +240,13 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
     if step < 1:
         raise DomainError(
             f"overlap {overlap} of {segment_length} samples rounds to the whole segment")
-    mean = series.samples.mean()
-    if not mean > 1.0 / np.finfo(float).max:
+    # the fractional fluctuations do not change with the samples' scale
+    samples, e = _scaled_down(series.samples)
+    mean = samples.mean()
+    if not np.ldexp(mean, e) > 1.0 / np.finfo(float).max:
         raise DomainError("PSD of fractional fluctuations needs a positive mean, 1/mean finite")
     fs = series.sample_rate_hz
-    segments = np.lib.stride_tricks.sliding_window_view(series.samples, segment_length)[::step]
+    segments = np.lib.stride_tricks.sliding_window_view(samples, segment_length)[::step]
     rows = min(len(segments), max(1, _BLOCK_ELEMENTS // segment_length))
     window = 0.5 - 0.5 * np.cos(TWO_PI * np.arange(segment_length) / segment_length)
     scaled = window / mean

@@ -626,14 +626,15 @@ def test_bad_input_exit_2(name, argv, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("flag", ["--help", "--version"])
 def test_help_and_version_exit_0(flag, capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main([flag])
-    assert exit_info.value.code == 0
+    # main prints the text itself and returns; argparse neither writes nor exits
+    assert cli.main([flag]) == 0
     out, err = capsys.readouterr()
-    assert out.strip() and err == ""
+    assert out == (trapcoh.__version__ + "\n" if flag == "--version"
+                   else cli.build_parser().format_help())
+    assert err == ""
 
 
-# The process entry point, cli.run: main, a flush, then os._exit with main's code.
+# The process entry point, cli.run: main, a flush of stderr, then os._exit with main's code.
 
 @pytest.mark.parametrize("flag,text", [("--help", "usage: trapcoh"),
                                        ("--version", trapcoh.__version__ + "\n")])
@@ -672,12 +673,14 @@ def test_process_writes_the_bytes_of_main(argv, names, tmp_path):
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
 def test_process_stdout_failure_is_output_error_exit_2(unbuffered, tmp_path):
     """stdout on a full device fails as an output file does: one JSON
-    output_error and exit 2, whether the write or the flush raises."""
-    with open("/dev/full", "w") as full:
-        proc = run_cli("report", "--seed", "11", cwd=tmp_path, stdout=full,
-                       env_extra={"PYTHONUNBUFFERED": unbuffered})
-    assert proc.returncode == 2
-    assert assert_error_only("", proc.stderr)["kind"] == "output_error"
+    output_error and exit 2, whether the write or the flush raises; the text
+    of --help and --version too."""
+    for argv in (["report", "--seed", "11"], ["--version"], ["--help"], ["fit", "--help"]):
+        with open("/dev/full", "w") as full:
+            proc = run_cli(*argv, cwd=tmp_path, stdout=full,
+                           env_extra={"PYTHONUNBUFFERED": unbuffered})
+        assert proc.returncode == 2, argv
+        assert assert_error_only("", proc.stderr)["kind"] == "output_error"
 
 
 class FailingStream(StringIO):
@@ -701,14 +704,17 @@ class FailingStream(StringIO):
 
 @pytest.mark.parametrize("method", ["write", "flush"])
 def test_main_stdout_failure_is_output_error_exit_2(method, tmp_path):
-    # the command succeeded and wrote its files, so no INFO line follows the error
-    err = StringIO()
-    with redirect_stdout(FailingStream(method)), redirect_stderr(err):
-        code = cli.main(["simulate", "--n-traj", "100", "--points", "3",
-                         "--outdir", str(tmp_path)])
-    assert code == 2
-    assert assert_error_only("", err.getvalue()) == {
-        "kind": "output_error", "message": f"cannot write stdout: {os.strerror(errno.ENOSPC)}"}
+    # the command succeeded and wrote its files, so no INFO line follows the error;
+    # --version's text goes through the same write
+    for argv in (["simulate", "--n-traj", "100", "--points", "3", "--outdir", str(tmp_path)],
+                 ["--version"]):
+        err = StringIO()
+        with redirect_stdout(FailingStream(method)), redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 2, argv
+        assert assert_error_only("", err.getvalue()) == {
+            "kind": "output_error",
+            "message": f"cannot write stdout: {os.strerror(errno.ENOSPC)}"}
 
 
 #: t_s and survival (unweighted) whose fits overflow past LM, and the kind

@@ -288,6 +288,28 @@ def test_relative_variance_is_scale_free():
     assert ratio == float(x.std(ddof=0) / x.mean())
 
 
+@pytest.mark.parametrize("level", [1e-308, 2.0 ** -1000, 1e-300, 1e-10, 1e100, 1e303, 1e304,
+                                   1e306, 2.0 ** 1020, 1.43e308])
+def test_psd_across_the_float_range(level):
+    """20,000 rows of level * (1 + 0.01 z): the sums of samples past 1e304 would
+    overflow, so both functions scale them by a power of two first. A trace at
+    a power of two keeps the bytes of the level-1 trace; a decimal level rounds
+    its samples apart from it, within a few ulps."""
+    x = 1.0 + 0.01 * np.random.default_rng(25).standard_normal(20000)
+
+    def psd_and_ratio(samples):
+        series = TimeSeries(1e3, samples)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return estimate_psd(series, 1024).psd, relative_variance(series)
+
+    psd, ratio = psd_and_ratio(level * x)
+    psd_1, ratio_1 = psd_and_ratio(x)
+    if math.frexp(level)[0] == 0.5:
+        assert psd.tobytes() == psd_1.tobytes() and ratio == ratio_1
+    assert ratio == pytest.approx(ratio_1, rel=1e-15)
+    assert psd == pytest.approx(psd_1, rel=1e-13)
+
+
 def test_estimate_psd_parseval():
     rng = np.random.default_rng(101)
     fs = 50e3

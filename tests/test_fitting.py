@@ -340,6 +340,57 @@ def exponential_terms(t, y, sigma):
     return terms
 
 
+def sigma_scaled_fits():
+    """name -> fit(scale): each fit on its own weighted table with sigma times scale."""
+    series = noisy_series(15.0, 5.14, seed=5)
+    t, y, sd = exponential_draw(np.random.default_rng(7))
+    phases = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    population = 0.5 + 0.45 * np.cos(phases - 0.3) \
+        + np.random.default_rng(25).normal(0.0, 0.02, 16)
+    return {
+        "coherence": lambda scale: fit_coherence_decay(series.t_s, series.coherence,
+                                                       series.sigma * scale),
+        "ramsey": lambda scale: fit_ramsey_decay(
+            CoherenceSeries(series.t_s, series.coherence, series.sigma * scale), ETA_1052),
+        "exponential": lambda scale: fit_exponential(t, y, sd * scale),
+        "fringe": lambda scale: fit_fringe(phases, population, np.full(16, 0.02 * scale)),
+    }
+
+
+@pytest.mark.parametrize("k", [10, 200, 400, 500, -10, -200, -400, -500, -520])
+def test_fits_are_invariant_under_a_power_of_two_scale_of_sigma(k):
+    # the weights are 1 / sigma times the power of two that takes the largest
+    # below 1, so sigma times 2**k gives the same whitened fit: the same params
+    # and evaluations, the rss times 2**-2k and the uncertainties times 2**k,
+    # exactly, and non_finite where those leave the float range (k = -520)
+    for name, fit in sigma_scaled_fits().items():
+        ref = fit(1.0)
+        try:
+            rss = math.ldexp(ref.rss, -2 * k)
+            err = {key: math.ldexp(value, k) for key, value in ref.uncertainties.items()}
+        except OverflowError:
+            with pytest.raises(TrapcohError) as info:
+                fit(2.0 ** k)
+            assert info.value.kind == "non_finite", name
+            continue
+        got = fit(2.0 ** k)
+        assert (got.params, got.n_iter) == (ref.params, ref.n_iter), name
+        assert (got.rss, got.uncertainties) == (rss, err), name
+
+
+@pytest.mark.parametrize("scale", [1e-78, 1e-100, 1e-150])
+def test_large_weights_fit_to_the_optimum(scale):
+    # with sigma times 1e-78 or less, the scaled-gradient stop once overflowed,
+    # f.f (J^T J)_ii = inf, and passed each start as converged after 1 evaluation
+    for name, fit in sigma_scaled_fits().items():
+        ref, got = fit(1.0), fit(scale)
+        for key, value in ref.params.items():
+            assert got.params[key] == pytest.approx(value, rel=1e-9), (name, key)
+            assert got.uncertainties[key] == pytest.approx(ref.uncertainties[key] * scale,
+                                                           rel=1e-9), (name, key)
+        assert got.rss == pytest.approx(ref.rss / scale ** 2, rel=1e-9), name
+
+
 @pytest.mark.parametrize("k", [1e-170, 1.0, 1e3, 1e150])
 def test_decay_fit_lands_on_the_stationary_point(k):
     # the end game takes Gauss-Newton steps while they shrink, so the fit ends
@@ -373,11 +424,11 @@ def test_decay_fit_evaluations_stay_below_the_rejection_cascade(monkeypatch):
     # 3,389 residual evaluations over all starts (2,744 with the end game)
     lm, count = fitting._levenberg_marquardt, [0]
 
-    def counting_lm(fun, jac, *rest):
-        def counted(x):
+    def counting_lm(residuals, *rest):
+        def counted(*x):
             count[0] += 1
-            return fun(x)
-        return lm(counted, jac, *rest)
+            return residuals(*x)
+        return lm(counted, *rest)
 
     monkeypatch.setattr(fitting, "_levenberg_marquardt", counting_lm)
     rng = np.random.default_rng(26)
@@ -387,32 +438,42 @@ def test_decay_fit_evaluations_stay_below_the_rejection_cascade(monkeypatch):
 
 
 @pytest.mark.parametrize("model", ["coherence", "exponential"])
-def test_jacobian_is_the_derivative_at_its_own_point(monkeypatch, model):
-    # jac reuses the exponential that fun computed last, but only at fun's last point
-    lm, captured = fitting._levenberg_marquardt, []
+def test_normal_equations_are_those_of_the_jacobian(monkeypatch, model):
+    # each model hands LM J^T J and J^T f from rows of its basis against m**2 and
+    # m f; they must be those of its Jacobian, written out here in full, to
+    # 1e-13 of the terms each sum adds up, at any weight scale
+    run, captured = fitting._lm_run, []
 
-    def capturing_lm(fun, jac, *rest):
-        captured.append((fun, jac))
-        return lm(fun, jac, *rest)
+    def capturing_run(residuals, normal, *rest):
+        captured.append((residuals, normal, *rest))
+        return run(residuals, normal, *rest)
 
-    monkeypatch.setattr(fitting, "_levenberg_marquardt", capturing_lm)
+    monkeypatch.setattr(fitting, "_lm_run", capturing_run)
     if model == "coherence":
-        fit_coherence_decay(bundled_series())
+        series = bundled_series()
+        t, y, sd = series.t_s, series.coherence, series.sigma
     else:
-        fit_exponential(*exponential_draw(np.random.default_rng(6)))
-    (fun, jac), = captured
-    x, other = [1.3, 0.8], [0.6, 1.7]
-    fun(other)
-    jx = jac(x)  # after fun at another point
-    fun(x)
-    assert np.array_equal(jx, jac(x))
-    step = 1e-6
-    for i in range(2):
-        up, down = list(x), list(x)
-        up[i] += step
-        down[i] -= step
-        np.testing.assert_allclose(jx[:, i], (fun(up) - fun(down)) / (2.0 * step),
-                                   rtol=1e-6, atol=1e-6 * np.max(np.abs(jx)))
+        t, y, sd = exponential_draw(np.random.default_rng(6))
+    tau = t / np.max(np.abs(t))
+    for scale in (1e-150, 1.0, 1e150):
+        captured.clear()
+        fit = fit_coherence_decay if model == "coherence" else fit_exponential
+        fit(t, y, sd * scale)
+        w = fitting._weights(t.size, sd * scale)[0]
+        assert np.all(w * sd * scale == (w * sd * scale)[0])  # 1 / sigma times one constant
+        residuals, normal, x0, x1, point = captured[0]
+        for x in ([x0, x1], [0.6, 1.7]):  # the start LM took, and another point
+            f = (point := residuals(*x))[1]
+            if model == "coherence":
+                e = w * np.exp(-0.5 * x[0] ** 2 * tau ** 2 - x[1] ** 2 * tau)
+                curve, jac = e, np.column_stack([-x[0] * tau ** 2 * e, -2.0 * x[1] * tau * e])
+            else:
+                e = w * np.exp(-x[1] * tau)
+                curve, jac = x[0] * e, np.column_stack([e, -x[0] * tau * e])
+            assert np.all(np.abs(f - (curve - w * y)) <= 1e-15 * (np.abs(curve) + np.abs(w * y)))
+            a00, a01, a11, g0, g1 = normal(*point)
+            np.testing.assert_allclose([[a00, a01], [a01, a11]], jac.T @ jac, rtol=1e-13)
+            assert np.all(np.abs([g0, g1] - jac.T @ f) <= 1e-13 * (np.abs(jac).T @ np.abs(f)))
 
 
 #: t_s, coherence, sigma where only the row at t = 722.6 s carries the model's
@@ -436,10 +497,10 @@ def test_singular_jtj_is_unidentifiable():
     for jac in (np.column_stack([u, u]), np.column_stack([u, u * (1.0 + 2.0 ** -52)]),
                 np.column_stack([u, np.zeros(3)])):
         with pytest.raises(UnidentifiableModelError):
-            fitting._covariance(jac, 1.0, 3, 2, True)
+            fitting._covariance(jac.T @ jac, 1.0, 3, True)
     # a tiny but independent column is identifiable
-    cov = fitting._covariance(np.column_stack([u, 1e-150 * np.array([1.0, -1.0, 0.0])]),
-                              1.0, 3, 2, True)
+    jac = np.column_stack([u, 1e-150 * np.array([1.0, -1.0, 0.0])])
+    cov = fitting._covariance(jac.T @ jac, 1.0, 3, True)
     assert np.all(np.isfinite(cov)) and np.all(np.diag(cov) > 0.0)
 
 
@@ -505,42 +566,53 @@ def test_exponential_rejects_growth():
         fit_exponential(t[:2], np.ones(2))
 
 
+def exponential_model(t, y):
+    """(residuals, basis) for LM of f = p exp(-k t) - y in (k, p):
+    J = diag(exp(-k t)) [-t, 1]^T diag(p, 1)."""
+    def residuals(k, p):
+        m = np.exp(-k * t)
+        return m, p * m - y, p, 1.0
+    return residuals, np.array([-t, np.ones_like(t)])
+
+
+def constant_model(f, m, basis, d):
+    """(residuals, basis) for LM of the constant residuals f with the constant
+    Jacobian diag(m) basis^T diag(d); trials records each point evaluated."""
+    trials = []
+
+    def residuals(x0, x1):
+        trials.append((x0, x1))
+        return np.asarray(m, dtype=float), np.asarray(f(x0), dtype=float), *d
+    return residuals, np.asarray(basis, dtype=float), trials
+
+
 def test_lm_skips_non_finite_starts():
     t = np.array([0.0, 1.0, 2.0])
-    y = np.exp(-0.5 * t)
-
-    def fun(x):
-        return np.exp(-x[0] * t) - y
-
-    def jac(x):
-        return (-t * np.exp(-x[0] * t))[:, None]
-
+    residuals, basis = exponential_model(t, np.exp(-0.5 * t))
     with np.errstate(all="raise"):
-        x, rss, _, _ = fitting._levenberg_marquardt(fun, jac, [(-1000.0,), (0.1,)],
-                                                    False, "no fit")
+        x, rss, _, _ = fitting._levenberg_marquardt(residuals, basis,
+                                                    [(-1000.0, 1.0), (0.1, 1.0)], False, "no fit")
         assert x[0] == pytest.approx(0.5, rel=1e-9)
         assert rss < 1e-20
         with pytest.raises(TrapcohError) as err:
-            fitting._levenberg_marquardt(fun, jac, [(-1000.0,)], False, "no fit")
+            fitting._levenberg_marquardt(residuals, basis, [(-1000.0, 1.0)], False, "no fit")
     assert err.value.kind == "non_finite"
 
 
 def test_lm_rejects_non_finite_trial_steps():
     # from k = 5 the first steps run to k << 0, where exp(-k t) overflows
     t = np.linspace(0.0, 10.0, 5)
-    y = np.exp(-0.5 * t)
+    residuals, basis = exponential_model(t, np.exp(-0.5 * t))
     finite = []
 
-    def fun(x):
-        r = np.exp(-x[0] * t) - y
-        finite.append(bool(np.all(np.isfinite(r))))
-        return r
-
-    def jac(x):
-        return (-t * np.exp(-x[0] * t))[:, None]
+    def recording(k, p):
+        point = residuals(k, p)
+        finite.append(bool(np.all(np.isfinite(point[1]))))
+        return point
 
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        x, rss, _, nfev = fitting._levenberg_marquardt(fun, jac, [(5.0,)], False, "no fit")
+        x, rss, _, nfev = fitting._levenberg_marquardt(recording, basis, [(5.0, 1.0)], False,
+                                                       "no fit")
     assert not all(finite)
     assert x[0] == pytest.approx(0.5, rel=1e-9)
     assert rss < 1e-20
@@ -549,8 +621,8 @@ def test_lm_rejects_non_finite_trial_steps():
 
 def test_damped_step_matches_lapack():
     """_damped_step against np.linalg.solve (LAPACK dgesv) on 10,000 random
-    damped normal matrices M = J^T J + mu I of each size, with entries of
-    J^T J from about 1e-150 to 1e150 and kappa = cond_inf(M) up to 1e12.
+    damped normal matrices M = J^T J + mu I, with entries of J^T J from
+    about 1e-150 to 1e150 and kappa = cond_inf(M) up to 1e12.
 
     Bound: both are LU with partial pivoting, so each returns the exact
     solution of (M + dM) h = -g with |dM| <= gamma_6 |L||U| (Higham,
@@ -564,96 +636,80 @@ def test_damped_step_matches_lapack():
     """
     rng = np.random.default_rng(2025)
     d = 24.0 * 2.0 ** -53
-    for n_params in (1, 2):
-        n = 10_000
-        # unit columns of J at an angle of 10^-8..1 rad, then scaled by 1e-75..1e75
-        u, v = rng.standard_normal((2, n, 6))
-        v -= u * (np.sum(u * v, axis=1) / np.sum(u * u, axis=1))[:, None]
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        angle = 10.0 ** rng.uniform(-8.0, 0.0, (n, 1))
-        cols = [u, np.cos(angle) * u + np.sin(angle) * v]
-        scale = 10.0 ** rng.uniform(-75.0, 75.0, (n, 1, 2))
-        jac = np.stack(cols[:n_params], axis=2) * scale[..., :n_params]
-        a = np.einsum("kri,krj->kij", jac, jac)
-        diag = np.diagonal(a, axis1=1, axis2=2)
-        mu = diag.max(axis=1) * 10.0 ** rng.uniform(-12.0, 0.0, n)
-        m = a + mu[:, None, None] * np.eye(n_params)
-        kappa = np.linalg.cond(m, np.inf)
-        keep = kappa <= 1e12
-        assert keep.sum() > 0.9 * n
-        # g = J^T f, times 10^-10..10^10
-        g = np.einsum("kri,kr->ki", jac, rng.standard_normal((n, 6)))
-        g *= 10.0 ** rng.uniform(-10.0, 10.0, (n, 1))
-        want = np.linalg.solve(m, -g[..., None])[..., 0]
-        for k in np.flatnonzero(keep):
-            got = np.array(fitting._damped_step(a[k].tolist(), g[k].tolist(), float(mu[k])))
-            err = np.max(np.abs(got - want[k])) / np.max(np.abs(want[k]))
-            bound = 2.0 * kappa[k] * d / (1.0 - 2.0 * kappa[k] * d)
-            assert err <= bound, (n_params, k, err, bound, kappa[k])
-        assert n_params == 1 or kappa[keep].max() > 1e9
+    n = 10_000
+    # unit columns of J at an angle of 10^-8..1 rad, then scaled by 1e-75..1e75
+    u, v = rng.standard_normal((2, n, 6))
+    v -= u * (np.sum(u * v, axis=1) / np.sum(u * u, axis=1))[:, None]
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    angle = 10.0 ** rng.uniform(-8.0, 0.0, (n, 1))
+    cols = [u, np.cos(angle) * u + np.sin(angle) * v]
+    scale = 10.0 ** rng.uniform(-75.0, 75.0, (n, 1, 2))
+    jac = np.stack(cols, axis=2) * scale
+    a = np.einsum("kri,krj->kij", jac, jac)
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    mu = diag.max(axis=1) * 10.0 ** rng.uniform(-12.0, 0.0, n)
+    m = a + mu[:, None, None] * np.eye(2)
+    kappa = np.linalg.cond(m, np.inf)
+    keep = kappa <= 1e12
+    assert keep.sum() > 0.9 * n
+    # g = J^T f, times 10^-10..10^10
+    g = np.einsum("kri,kr->ki", jac, rng.standard_normal((n, 6)))
+    g *= 10.0 ** rng.uniform(-10.0, 10.0, (n, 1))
+    want = np.linalg.solve(m, -g[..., None])[..., 0]
+    for k in np.flatnonzero(keep):
+        (a00, a01), (_, a11) = a[k].tolist()
+        got = np.array(fitting._damped_step(a00, a01, a11, *g[k].tolist(), float(mu[k])))
+        err = np.max(np.abs(got - want[k])) / np.max(np.abs(want[k]))
+        bound = 2.0 * kappa[k] * d / (1.0 - 2.0 * kappa[k] * d)
+        assert err <= bound, (k, err, bound, kappa[k])
+    assert kappa[keep].max() > 1e9
 
 
-@pytest.mark.parametrize("n_params", [1, 2])
-def test_lm_singular_step_ends_the_run(n_params):
+def test_lm_singular_step_ends_the_run():
     # J^T J underflows to all zeros, so mu starts at 0 and the damped
     # system is singular while J^T f is not: no start converges
-    def fun(x):
-        return np.ones(3)
-
-    def jac(x):
-        return np.full((3, n_params), 1e-170)
-
+    residuals, basis, _ = constant_model(lambda x0: np.ones(3), np.full(3, 1e-170),
+                                         np.ones((2, 3)), (1.0, 1.0))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         with pytest.raises(FitConvergenceError):
-            fitting._levenberg_marquardt(fun, jac, [(1.0,) * n_params], False, "no fit")
+            fitting._levenberg_marquardt(residuals, basis, [(1.0, 1.0)], False, "no fit")
 
 
 def test_lm_infinite_damping_ends_the_run():
     # the second column of J^T J overflows, so the first damping is inf:
     # (a + inf I) h = -g has h = 0, which must not pass as a converged step
     # (LAPACK's solve saw NaN off the diagonal, inf * 0, and failed)
-    def fun(x):
-        return np.ones(3)
-
-    def jac(x):
-        return np.array([[1.0, 1e200], [2.0, 0.0], [0.0, 1e200]])
-
+    # J = [[1, 1e200], [2, 0], [0, 1e200]]
+    residuals, basis, _ = constant_model(lambda x0: np.ones(3), np.ones(3),
+                                         [[1.0, 2.0, 0.0], [1.0, 0.0, 1.0]], (1.0, 1e200))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         with pytest.raises(FitConvergenceError):
-            fitting._levenberg_marquardt(fun, jac, [(1.0, 1.0)], False, "no fit")
+            fitting._levenberg_marquardt(residuals, basis, [(1.0, 1.0)], False, "no fit")
 
 
 def test_lm_zero_predicted_gain_is_rejected():
     # residuals 1e-165 square to 0, J^T f = 1e-315 does not, and h (mu h - g)
     # underflows to 0 with no gain: rho = 0 / 0 rejects every trial step
-    trials = []
-
-    def fun(x):
-        trials.append(x[0])
-        return np.full(2, 1e-165)
-
-    def jac(x):
-        return np.array([[1e-150], [0.0]])
-
+    residuals, basis, trials = constant_model(lambda x0: np.full(2, 1e-165),
+                                              np.full(2, 1e-150), np.eye(2), (1.0, 1.0))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        x, rss, _, nfev = fitting._levenberg_marquardt(fun, jac, [(0.0,)], False, "no fit")
+        x, rss, _, nfev = fitting._levenberg_marquardt(residuals, basis, [(0.0, 0.0)], False,
+                                                       "no fit")
     assert x[0] == 0.0 and rss == 0.0
-    assert nfev == len(trials) > 2 and all(t != 0.0 for t in trials[1:])
+    assert nfev == len(trials) > 2 and all(t[0] != 0.0 for t in trials[1:])
 
 
 def test_lm_huge_gain_ratio_is_accepted():
     # J^T f = 1e-100 is tiny against the cost 2, which drops to 0 in a well
-    # just below x = 1: once the damping brings a step into the well, rho is
+    # just below x0 = 1: once the damping brings a step into the well, rho is
     # about 1e110, and the damping update must not overflow on (2 rho - 1)**3
-    def fun(x):
-        return np.zeros(2) if 1e-12 < 1.0 - x[0] < 1e-3 else np.ones(2)
-
-    def jac(x):
-        return np.array([[1e-100], [0.0]])
-
+    residuals, basis, _ = constant_model(
+        lambda x0: np.zeros(2) if 1e-12 < 1.0 - x0 < 1e-3 else np.ones(2),
+        np.full(2, 1e-100), np.eye(2), (1.0, 1.0))
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        x, rss, _, _ = fitting._levenberg_marquardt(fun, jac, [(1.0,)], False, "no fit")
+        x, rss, _, _ = fitting._levenberg_marquardt(residuals, basis, [(1.0, 1.0)], False,
+                                                    "no fit")
     assert 1e-12 < 1.0 - x[0] < 1e-3
     assert rss == 0.0
 
@@ -666,14 +722,21 @@ def test_lm_evaluation_cap_raises(monkeypatch):
         fit_exponential(np.linspace(0.0, 3.0, 10), np.exp(-np.linspace(0.0, 3.0, 10)) + 0.01)
 
 
-def minpack_driver(fun, jac, starts, absolute, failure):
-    """Reference _levenberg_marquardt: scipy's MINPACK LM from each start."""
-    runs = [least_squares(fun, np.asarray(x0, dtype=float), jac=jac, method="lm", xtol=1e-12,
-                          ftol=1e-12, gtol=1e-12, max_nfev=fitting.MAX_EVALUATIONS)
+def minpack_driver(residuals, basis, starts, absolute, failure):
+    """Reference _levenberg_marquardt: scipy's MINPACK LM from each start, with
+    the Jacobian diag(m) basis^T diag(d0, d1) of residuals(x) = (m, f, d0, d1)
+    written out in full, and its covariance from that Jacobian."""
+    def jac(x):
+        m, _, d0, d1 = residuals(*x)
+        return np.column_stack([d0 * m * basis[0], d1 * m * basis[1]])
+
+    runs = [least_squares(lambda x: residuals(*x)[1], np.asarray(x0, dtype=float), jac=jac,
+                          method="lm", xtol=1e-12, ftol=1e-12, gtol=1e-12,
+                          max_nfev=fitting.MAX_EVALUATIONS)
             for x0 in starts]
     best = min((res for res in runs if res.success), key=lambda res: res.cost)
     rss = 2.0 * best.cost
-    return best.x, rss, fitting._covariance(best.jac, rss, best.fun.size, best.x.size,
+    return best.x, rss, fitting._covariance(best.jac.T @ best.jac, rss, best.fun.size,
                                             absolute), best.nfev
 
 

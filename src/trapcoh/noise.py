@@ -8,6 +8,7 @@ S(omega) = S(f) / (2 pi); that conversion happens in exactly one place,
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -56,7 +57,7 @@ class NoiseSpectrum:
     (log f, log S); outside the sampled range the nearest sample is held.
     Segments with a zero-valued endpoint interpolate the PSD linearly
     against log f instead (log of zero is undefined), which preserves
-    nonnegativity. The log tables are built once, at construction.
+    nonnegativity. The knots are kept once, at construction, as Python floats.
     """
 
     kind: str
@@ -78,12 +79,14 @@ class NoiseSpectrum:
             raise DomainError("spectrum kind must be a non-empty string")
         object.__setattr__(self, "frequencies_hz", f)
         object.__setattr__(self, "psd", p)
-        # S in the real part and log S in the imaginary part, so that one
-        # np.interp gives both; log S is NaN at zero samples, and so on every
-        # segment with a zero endpoint
+        # the knots once, as Python floats: log f, S, and log S (None where S = 0)
+        object.__setattr__(self, "_log_f", tuple(map(math.log, f.tolist())))
+        object.__setattr__(self, "_s", tuple(p.tolist()))
+        object.__setattr__(self, "_log_s", tuple(math.log(v) if v > 0 else None for v in self._s))
+        # for arrays, S and log S (NaN at zero samples, and so on every segment
+        # with a zero endpoint) as real and imaginary parts, for one np.interp
         table = p.astype(complex)
-        table.imag = np.log(np.where(p > 0.0, p, np.nan))
-        object.__setattr__(self, "_log_f", np.log(f))
+        table.imag = [math.nan if v is None else v for v in self._log_s]
         object.__setattr__(self, "_table", table)
 
     @classmethod
@@ -98,12 +101,12 @@ class NoiseSpectrum:
 
     def evaluate(self, f_hz):
         """S(f) at the requested frequencies (Hz), held constant outside range;
-        a numpy scalar for a scalar f_hz (on Python floats for a float or
-        np.float64, with the bytes of the array path)."""
+        a numpy scalar for a scalar f_hz (computed on Python floats with math
+        for a float or np.float64)."""
         if isinstance(f_hz, float):
             if not f_hz > 0.0:  # NaN fails it as well
                 raise DomainError("evaluation frequencies must be positive")
-            return self._at_log_scalar(float(np.log(f_hz)))
+            return np.float64(self._at_log_scalar(math.log(f_hz)))
         fq = np.asarray(f_hz, dtype=float)
         # written so that NaN fails it as well
         if not fq.min(initial=np.inf) > 0.0:
@@ -118,20 +121,18 @@ class NoiseSpectrum:
         return np.fmax(np.exp(both.imag), both.real * np.isnan(both.imag))
 
     def _at_log_scalar(self, x):
-        """_at_log for one float x, as np.interp and fmax compute it: the end
-        sample beyond the knots, a knot's sample on it, else per part
-        dy * (1 / dx) * (x - x0) + y0 (np.interp's retry of a NaN part is NaN
-        too: samples are finite); the linear part where log S is NaN."""
-        j = bisect_right(self._log_f, x)
-        if j == 0 or j == self._log_f.size or self._log_f.item(j - 1) == x:
-            both = self._table.item(max(j - 1, 0))
-        else:
-            x0 = self._log_f.item(j - 1)
-            inv_dx = 1.0 / (self._log_f.item(j) - x0)
-            y0, y1 = self._table.item(j - 1), self._table.item(j)
-            both = complex((y1.real - y0.real) * inv_dx * (x - x0) + y0.real,
-                           (y1.imag - y0.imag) * inv_dx * (x - x0) + y0.imag)
-        return np.float64(both.real) if both.imag != both.imag else np.exp(both.imag)
+        """S at log f = x, unchecked: the end sample beyond the knots, else
+        log S linear in log f on the segment, or S itself on a segment that
+        ends at a zero sample."""
+        log_f, s, log_s = self._log_f, self._s, self._log_s
+        j = bisect_right(log_f, x)
+        if j == 0 or j == len(log_f):
+            return s[max(j - 1, 0)]
+        i = j - 1
+        w = (x - log_f[i]) / (log_f[j] - log_f[i])
+        if log_s[i] is None or log_s[j] is None:
+            return s[i] + w * (s[j] - s[i])
+        return math.exp(log_s[i] + w * (log_s[j] - log_s[i]))
 
     def scaled(self, factor):
         """Same spectrum with all PSD values multiplied by factor >= 0."""

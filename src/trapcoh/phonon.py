@@ -1,8 +1,9 @@
 """Phonon jumping induced by trap intensity and pointing noise.
 
-Transition rates for a single trapped atom on one axis (angular-frequency
-PSD convention, S(omega) = S(f) / (2 pi), applied before these formulas
-via noise.psd_f_to_omega):
+Transition rates for a single trapped atom on one axis (Savard, O'Hara &
+Thomas, PRA 56, R1095 (1997); angular-frequency PSD convention,
+S(omega) = S(f) / (2 pi), applied before these formulas via
+noise.psd_f_to_omega):
 
     intensity (spring-constant) noise, n -> n +/- 2:
         R = (pi * omega**2 / 16) * S_k(2 omega) * (n + 1 +/- 1) * (n +/- 1)
@@ -11,11 +12,13 @@ via noise.psd_f_to_omega):
 
 The total leaving rate from level n on one axis is
 
-    R_q = (pi * omega**2 / 8) * S_k(2 omega) * ((n + 1)**2 - n)
-        + (pi / (2 hbar)) * M * omega**3 * S_x(omega) * (2 n + 1)
+    R_q = a * ((n + 1)**2 - n) + b * (2 n + 1),
+    a = (pi * omega**2 / 8) * S_k(2 omega),  b = (pi / (2 hbar)) * M * omega**3 * S_x(omega)
 
 and the decay channel uses the sum over the three axes. Any jump scrambles
-the accumulated qubit phase, so the coherence survival is exp(-R t).
+the accumulated qubit phase, so the coherence survival is exp(-R t). Each
+formula is written once, on Python floats, with squares and cubes as
+products: the budget does not depend on numpy's SIMD dispatch.
 """
 
 from __future__ import annotations
@@ -98,23 +101,20 @@ class TrapNoise:
         return psd_f_to_omega(spec.evaluate(omega_rad_s / TWO_PI))
 
     def _axis_terms(self, cfg: TrapConfig):
-        """Per axis (omega, omega**3, S_k(2 omega), S_x(omega)) as Python floats,
-        the spectra in angular convention, for the trap frequencies of cfg.
+        """Per axis (omega, S_k(2 omega), S_x(omega)) as Python floats, the
+        spectra in angular convention, for the trap frequencies of cfg.
 
-        The cube is numpy's array power, not libm's, for its bytes. The terms
-        are kept for up to 4 distinct frequency triples (all are dropped when
-        a fifth comes) and returned again: they cannot go stale, because a
-        spectrum's lookup reads only the tables built when the spectrum was
-        constructed.
+        The terms are kept for up to 4 distinct frequency triples (all are
+        dropped when a fifth comes) and returned again: they cannot go stale,
+        because a spectrum's lookup reads only the tables built when the
+        spectrum was constructed.
         """
         key = (cfg.omega_x_rad_s, cfg.omega_y_rad_s, cfg.omega_z_rad_s)
         terms = self._memo.get(key)
         if terms is None:
-            omegas = np.array(key, dtype=float)
-            ws = omegas.tolist()
-            s_k = [float(self.spring_omega(axis, 2.0 * w)) for axis, w in zip(AXES, ws)]
-            s_x = [float(self.position_omega(axis, w)) for axis, w in zip(AXES, ws)]
-            terms = tuple(zip(ws, (omegas ** 3).tolist(), s_k, s_x))
+            terms = tuple((w, float(self.spring_omega(axis, 2.0 * w)),
+                           float(self.position_omega(axis, w)))
+                          for axis, w in zip(AXES, map(float, key)))
             if len(self._memo) >= _MEMO_SIZE:
                 self._memo.clear()
             self._memo[key] = terms
@@ -129,14 +129,11 @@ def intensity_jump_rate(omega_rad_s, s_k_omega, n, step) -> float:
     """
     if step not in (2, -2):
         raise DomainError("intensity noise drives steps of +/-2 only")
-    if n < 0 or int(n) != n:
+    if not 0 <= n < math.inf or int(n) != n:
         raise DomainError("phonon number must be a nonnegative integer")
-    if s_k_omega < 0.0:
-        raise DomainError("PSD value must be nonnegative")
-    if step == 2:
-        factor = (n + 2) * (n + 1)
-    else:
-        factor = n * (n - 1)
+    if not 0.0 <= s_k_omega < math.inf:
+        raise DomainError("PSD value must be finite and nonnegative")
+    factor = (n + 2) * (n + 1) if step == 2 else n * (n - 1)
     return math.pi * omega_rad_s ** 2 / 16.0 * s_k_omega * factor
 
 
@@ -144,28 +141,32 @@ def pointing_jump_rate(omega_rad_s, mass_kg, s_x_omega, n, step) -> float:
     """One-phonon transition rate n -> n + step for step in {+1, -1} (1/s)."""
     if step not in (1, -1):
         raise DomainError("pointing noise drives steps of +/-1 only")
-    if n < 0 or int(n) != n:
+    if not 0 <= n < math.inf or int(n) != n:
         raise DomainError("phonon number must be a nonnegative integer")
-    if s_x_omega < 0.0:
-        raise DomainError("PSD value must be nonnegative")
+    if not 0.0 <= s_x_omega < math.inf:
+        raise DomainError("PSD value must be finite and nonnegative")
     factor = n + 1 if step == 1 else n
     return math.pi / (2.0 * HBAR) * mass_kg * omega_rad_s ** 3 * s_x_omega * factor
 
 
+def _coefficients(omega_rad_s, mass_kg, s_k_omega, s_x_omega):
+    """(a, b) of one axis's leaving rate a ((n + 1)**2 - n) + b (2 n + 1):
+    a = pi omega**2 S_k(2 omega) / 8 and b = pi M omega**3 S_x(omega) / (2 hbar)."""
+    square = omega_rad_s * omega_rad_s
+    return (math.pi * square / 8.0 * s_k_omega,
+            math.pi / (2.0 * HBAR) * mass_kg * (square * omega_rad_s) * s_x_omega)
+
+
 def axis_jump_rate(omega_rad_s, mass_kg, s_k_omega, s_x_omega, n) -> float:
     """Total leaving rate from level n on one axis (1/s)."""
-    intensity = math.pi * omega_rad_s ** 2 / 8.0 * s_k_omega * ((n + 1) ** 2 - n)
-    pointing = math.pi / (2.0 * HBAR) * mass_kg * omega_rad_s ** 3 * s_x_omega * (2 * n + 1)
-    return intensity + pointing
+    a, b = _coefficients(omega_rad_s, mass_kg, s_k_omega, s_x_omega)
+    return a * ((n + 1) * (n + 1) - n) + b * (2 * n + 1)
 
 
 def total_jump_rate(cfg: TrapConfig, noise: TrapNoise, occ: FixedOccupation) -> AxisRates:
     """Per-axis leaving rates at fixed phonon numbers (axis_jump_rate)."""
-    c = math.pi / (2.0 * HBAR) * cfg.species.mass_kg
-    numbers = (occ.n_x, occ.n_y, occ.n_z)
-    return AxisRates(*[math.pi * (w * w) / 8.0 * sk * ((n + 1.0) * (n + 1.0) - n)
-                       + c * w3 * sx * (2.0 * n + 1.0)
-                       for (w, w3, sk, sx), n in zip(noise._axis_terms(cfg), numbers)])
+    return AxisRates(*[axis_jump_rate(w, cfg.species.mass_kg, sk, sx, n) for (w, sk, sx), n
+                       in zip(noise._axis_terms(cfg), (occ.n_x, occ.n_y, occ.n_z))])
 
 
 def classical_thermal_rate(cfg: TrapConfig, noise: TrapNoise, temperature_k) -> float:
@@ -186,11 +187,11 @@ def classical_thermal_rate(cfg: TrapConfig, noise: TrapNoise, temperature_k) -> 
         raise DomainError("temperature must be positive")
     kt = BOLTZMANN * temperature_k
     sum_k = sum_x = 0.0
-    for w, _, sk, sx in noise._axis_terms(cfg):
+    for w, sk, sx in noise._axis_terms(cfg):
         sum_k += sk
         sum_x += w * w * sx
-    intensity = math.pi / (8.0 * HBAR ** 2) * (kt / 2.0) ** 2 * sum_k
-    pointing = math.pi / (2.0 * HBAR ** 2) * cfg.species.mass_kg * kt * sum_x
+    intensity = math.pi / (8.0 * (HBAR * HBAR)) * (kt * kt / 4.0) * sum_k
+    pointing = math.pi / (2.0 * (HBAR * HBAR)) * cfg.species.mass_kg * kt * sum_x
     return intensity + pointing
 
 
@@ -203,23 +204,22 @@ def thermal_average_pjr(cfg: TrapConfig, noise: TrapNoise, dist: ThermalOccupati
     geometric distribution (thermal_moments):
     E[(n+1)^2 - n] = E[n^2] + E[n] + 1 and E[2n + 1] = 2 E[n] + 1.
     """
-    c = math.pi / (2.0 * HBAR) * cfg.species.mass_kg
     total = 0.0
     means = (dist.nbar_x, dist.nbar_y, dist.nbar_z)
-    for (w, w3, sk, sx), nbar in zip(noise._axis_terms(cfg), means):
+    for (w, sk, sx), nbar in zip(noise._axis_terms(cfg), means):
         m1, m2 = thermal_moments(nbar)
-        total += (math.pi * (w * w) / 8.0 * sk * (m2 + m1 + 1.0)
-                  + c * w3 * sx * (2.0 * m1 + 1.0))
+        a, b = _coefficients(w, cfg.species.mass_kg, sk, sx)
+        total += a * (m2 + m1 + 1.0) + b * (2.0 * m1 + 1.0)
     return total
 
 
 def survival_probability(rate, t):
     """No-jump probability exp(-rate * t); rate in 1/s, t in s."""
-    if rate < 0.0:
-        raise DomainError("rate must be nonnegative")
+    if not 0.0 <= rate < math.inf:
+        raise DomainError("rate must be finite and nonnegative")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
-        raise DomainError("time must be nonnegative")
+    if not np.all((t >= 0.0) & (t < math.inf)):
+        raise DomainError("time must be finite and nonnegative")
     return np.exp(-rate * t) + 0.0
 
 

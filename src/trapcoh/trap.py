@@ -14,7 +14,8 @@ extra factor 1/2 because omega_q scales as sqrt(P):
     dls_sigma = [-eta * U0 / hbar + (eta / 4) * sum_q (n_q + 1/2) * omega_q]
                 * sigma_P / P0
 
-dls_sigma is signed; decay-model consumers use its magnitude.
+dls_sigma is signed; decay-model consumers use its magnitude. The DLS
+kernels run on Python floats, with squares as products.
 """
 
 from __future__ import annotations
@@ -39,12 +40,12 @@ class AtomSpecies:
     gamma_rad_s: float = 0.0  # excited-state linewidth, used by scattering ops only
 
     def __post_init__(self):
-        if not self.mass_kg > 0.0:
-            raise DomainError("atomic mass must be positive")
-        if not self.omega_hfs_rad_s > 0.0:
-            raise DomainError("hyperfine splitting must be positive")
-        if self.gamma_rad_s < 0.0:
-            raise DomainError("linewidth must be nonnegative")
+        # written so that NaN fails each comparison as well
+        for name in ("mass_kg", "omega_hfs_rad_s"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
+        if not 0.0 <= self.gamma_rad_s < math.inf:
+            raise DomainError("gamma_rad_s (linewidth) must be nonnegative and finite")
 
 
 def cesium_species() -> AtomSpecies:
@@ -74,15 +75,15 @@ class TrapConfig:
     sigma_p_watt: float
 
     def __post_init__(self):
-        if not self.eta >= 0.0:
-            raise DomainError("eta must be nonnegative")
-        for ax in AXES:
-            if not getattr(self, f"omega_{ax}_rad_s") > 0.0:
-                raise DomainError(f"omega_{ax} must be positive")
-        if not self.p0_watt > 0.0:
-            raise DomainError("trap power must be positive")
-        if self.sigma_p_watt < 0.0:
-            raise DomainError("power spread must be nonnegative")
+        # written so that NaN fails each comparison as well
+        for name in ("omega_x_rad_s", "omega_y_rad_s", "omega_z_rad_s", "p0_watt"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be positive and finite")
+        for name in ("eta", "sigma_p_watt"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be nonnegative and finite")
+        if not -math.inf < self.u0_joule < math.inf:
+            raise DomainError("u0_joule must be finite")
         if not self.sigma_p_watt / self.p0_watt < 0.5:
             raise DomainError("power spread must satisfy sigma_P / P0 < 0.5")
 
@@ -154,8 +155,8 @@ class ThermalOccupation:
 
 def eta_from_detuning(omega_hfs, detuning):
     """Relative DLS ratio eta = |omega_hfs / Delta| for detuning Delta (rad/s)."""
-    if detuning == 0.0:
-        raise DomainError("detuning must be nonzero")
+    if not (0.0 < abs(detuning) < math.inf and abs(omega_hfs) < math.inf):
+        raise DomainError("detuning must be nonzero and finite, omega_hfs finite")
     return abs(omega_hfs / detuning)
 
 
@@ -200,8 +201,8 @@ def cesium_eta(trap_wavelength_m):
 
 
 def _phonon_sum(cfg: TrapConfig, occ: FixedOccupation) -> float:
-    """sum_q (n_q + 1/2) omega_q with np.sum's bytes: from 0.0 over x, y, z."""
-    return (0.0 + (occ.n_x + 0.5) * cfg.omega_x_rad_s + (occ.n_y + 0.5) * cfg.omega_y_rad_s
+    """sum_q (n_q + 1/2) omega_q, summed over x, y, z in turn."""
+    return ((occ.n_x + 0.5) * cfg.omega_x_rad_s + (occ.n_y + 0.5) * cfg.omega_y_rad_s
             + (occ.n_z + 0.5) * cfg.omega_z_rad_s)
 
 
@@ -220,17 +221,17 @@ def mean_phonon_number(temperature_k, omega_rad_s) -> float:
     """Mean occupancy from temperature via (nbar + 1/2) hbar omega = kB T / 2."""
     if not 0.0 <= temperature_k < math.inf:
         raise DomainError("temperature must be nonnegative and finite")
-    if not omega_rad_s > 0.0:
-        raise DomainError("trap frequency must be positive")
+    if not 0.0 < omega_rad_s < math.inf:
+        raise DomainError("trap frequency must be positive and finite")
     return max(0.0, constants.BOLTZMANN * temperature_k / (2.0 * constants.HBAR * omega_rad_s) - 0.5)
 
 
 def thermal_probability(nbar, n):
     """Geometric (thermal) occupancy probability P(n) = nbar^n / (nbar+1)^(n+1)."""
-    if nbar < 0.0:
-        raise DomainError("mean phonon number must be nonnegative")
+    if not 0.0 <= nbar < math.inf:
+        raise DomainError("mean phonon number must be nonnegative and finite")
     n = np.asarray(n)
-    if np.any(n < 0) or not np.issubdtype(n.dtype, np.integer) and np.any(n != np.floor(n)):
+    if not np.all((n >= 0) & (n == np.floor(n)) & (n < math.inf)):  # NaN fails it too
         raise DomainError("phonon number must be a nonnegative integer")
     nf = n.astype(float)
     if nbar == 0.0:
@@ -242,8 +243,8 @@ def thermal_probability(nbar, n):
 def thermal_moments(nbar):
     """First and second moments (E[n], E[n^2]) = (nbar, 2 nbar^2 + nbar) of the
     geometric occupancy distribution, exact in closed form."""
-    if nbar < 0.0:
-        raise DomainError("mean phonon number must be nonnegative")
+    if not 0.0 <= nbar < math.inf:
+        raise DomainError("mean phonon number must be nonnegative and finite")
     return float(nbar), float(2.0 * nbar * nbar + nbar)
 
 
@@ -252,19 +253,15 @@ def thermal_average_dls_sigma(cfg: TrapConfig, dist: ThermalOccupation) -> float
 
     dls_sigma is affine in the per-axis phonon numbers, so the average of
     its square reduces to the per-axis means nbar and variances
-    nbar (nbar + 1) of the geometric distribution.
-
-    Looping over the axes on Python floats keeps the bytes of numpy on
-    3-vectors: sums run from 0.0 over x, y, z, and a square is a product.
+    nbar (nbar + 1) of the geometric distribution. A square is a product.
     """
     rel = cfg.relative_power_spread
     wx, wy, wz = cfg.omega_x_rad_s, cfg.omega_y_rad_s, cfg.omega_z_rad_s
-    base = rel * (-cfg.eta * cfg.u0_joule / constants.HBAR
-                  + 0.125 * cfg.eta * (wx + wy + wz))
-    mean_sigma = var_sigma = 0.0
+    # dls_sigma at n_q = 0, plus each axis's coefficient of n_q times nbar_q
+    mean_sigma = rel * (-cfg.eta * cfg.u0_joule / constants.HBAR + 0.125 * cfg.eta * (wx + wy + wz))
+    var_sigma = 0.0
     for w, nbar in zip((wx, wy, wz), (dist.nbar_x, dist.nbar_y, dist.nbar_z)):
-        slope = rel * 0.25 * cfg.eta * w  # per-axis coefficient of n_q
+        slope = rel * 0.25 * cfg.eta * w
         mean_sigma += slope * nbar
         var_sigma += slope * slope * (nbar * (nbar + 1.0))
-    # ** 2 calls libm pow, as numpy does for a scalar; it differs from x * x
-    return math.sqrt((base + mean_sigma) ** 2 + var_sigma)
+    return math.sqrt(mean_sigma * mean_sigma + var_sigma)

@@ -1,15 +1,26 @@
-"""The three-axis budget kernels against numpy oracles, bit for bit.
+"""The three-axis budget kernels against exact oracles, within derived bounds.
 
-The kernels loop over x, y, z on Python floats. Each oracle below is the
-numpy form they replaced, on 3-vectors, with the spectra looked up by array
-evaluate calls, one per distinct spectrum, so every value must keep its bytes:
-results are compared with ==, never within a tolerance. Where a kernel moves
-by one ulp (say x * x for a numpy scalar's ** 2, which calls libm pow, or
-libm pow for numpy's array cube) some of the 12,000 cases fail.
+The kernels run on Python floats, with squares and cubes as products. Each
+oracle below computes the kernel's formula exactly, in fractions.Fraction,
+from the same float inputs: the trap's fields, the phonon numbers, the mean
+occupations the kernel was given, and the spectra as TrapNoise looks them
+up on a float. A square root is checked by its square, which is exact.
+
+Every result must lie within gamma(k) = k u / (1 - k u), u = 2**-53, of the
+exact value, where k counts the roundings on the longest chain of
+operations any term of the kernel goes through (Higham, Accuracy and
+Stability of Numerical Algorithms, 2nd ed., ch. 3). The bound is relative
+to the sum of the terms' magnitudes, so it holds where terms of both signs
+cancel: dls_sigma at the bbt780 occupations (5, 3, 5) is 4.5e-7 rad/s, 6e-5
+of its terms. Over the 12,000 cases the largest error of each kernel is 0.3
+to 0.6 of its bound.
 """
 
+import collections
 import dataclasses
+import functools
 import math
+from fractions import Fraction as F
 
 import numpy as np
 
@@ -17,88 +28,142 @@ from trapcoh import (FixedOccupation, NoiseSpectrum, ThermalOccupation, TrapConf
                      classical_thermal_rate, dls_mean, dls_sigma, thermal_average_dls_sigma,
                      thermal_average_pjr, total_jump_rate)
 from trapcoh.constants import BOLTZMANN, HBAR
-from trapcoh.noise import TWO_PI, psd_f_to_omega
 from trapcoh.trap import AXES
 
 N_CASES = 12_000
 SPRINGS = ("rin_40db", "rin_free", "rin_flat_140")
+U = F(1, 2 ** 53)
+PI, HBAR_, KB = F(math.pi), F(HBAR), F(BOLTZMANN)
 
 
-def oracle_nbars(temperature_k, cfg):
-    return [max(0.0, BOLTZMANN * temperature_k / (2.0 * HBAR * w) - 0.5) for w in cfg.omegas]
+@functools.cache
+def gamma(k):
+    return k * U / (1 - k * U)
 
 
-def oracle_spectra(noise, omegas):
-    """(S_k(2 omega), S_x(omega)) per axis as 3-vectors in angular convention:
-    each distinct spectrum evaluated once, as an array, at every axis sharing it."""
-    def per_axis(table, omegas):
-        specs = [table[axis] for axis in AXES]
-        out = np.empty(len(AXES))
-        for spec in {id(spec): spec for spec in specs}.values():
-            shared = np.array([other is spec for other in specs])
-            out[shared] = spec.evaluate(omegas[shared] / TWO_PI)
-        return psd_f_to_omega(out)
-    return per_axis(noise._spring, 2.0 * omegas), per_axis(noise._position, omegas)
+def omegas(cfg):
+    return (cfg.omega_x_rad_s, cfg.omega_y_rad_s, cfg.omega_z_rad_s)
 
 
-def oracle_dls_mean(cfg, occ):
-    phonon = np.sum((occ.numbers + 0.5) * cfg.omegas)
-    return float(-cfg.eta * cfg.u0_joule / HBAR + 0.5 * cfg.eta * phonon)
+# The oracles' parts that depend on the trap, or the trap and the noise, alone
+# are kept for the most recent traps: two of three cases are on a preset.
+Trap = collections.namedtuple("Trap", "ws two_hbar_ws depth rel eta slopes base base_scale")
 
 
-def oracle_dls_sigma(cfg, occ):
-    phonon = np.sum((occ.numbers + 0.5) * cfg.omegas)
-    core = -cfg.eta * cfg.u0_joule / HBAR + 0.25 * cfg.eta * phonon
-    return float(core * cfg.relative_power_spread)
+@functools.lru_cache(maxsize=64)
+def trap_parts(cfg):
+    """Exactly: omega_q, 2 hbar omega_q, -eta U0 / hbar, rel = sigma_P / P0, eta,
+    the slopes rel eta omega_q / 4 of dls_sigma in n_q, dls_sigma at n_q = 0 and
+    the sum of its terms' magnitudes."""
+    ws = [F(w) for w in omegas(cfg)]
+    eta, rel = F(cfg.eta), F(cfg.sigma_p_watt) / F(cfg.p0_watt)
+    depth = -eta * F(cfg.u0_joule) / HBAR_
+    slopes = [rel * eta * w / 4 for w in ws]
+    return Trap(ws, [2 * HBAR_ * w for w in ws], depth, rel, eta, slopes,
+                rel * depth + sum(slopes) / 2, abs(rel * depth) + sum(slopes) / 2)
 
 
-def oracle_thermal_average_dls_sigma(cfg, dist):
-    rel = cfg.relative_power_spread
-    base = rel * (-cfg.eta * cfg.u0_joule / HBAR + 0.125 * cfg.eta * np.sum(cfg.omegas))
-    slope = rel * 0.25 * cfg.eta * cfg.omegas
-    nbar = dist.means
-    var_n = nbar * (nbar + 1.0)
-    mean_sigma = base + np.sum(slope * nbar)
-    return float(math.sqrt(mean_sigma ** 2 + np.sum(slope ** 2 * var_n)))
+@functools.lru_cache(maxsize=64)
+def coefficients(cfg, noise):
+    """Per axis (a, b, S_k, omega**2 S_x) exactly: a = pi omega**2 S_k / 8 and
+    b = pi M omega**3 S_x / (2 hbar), with the spectra as TrapNoise looks them up
+    on a float, in the angular convention."""
+    out = []
+    for axis, w in zip(AXES, omegas(cfg)):
+        s_k = F(float(noise.spring_omega(axis, 2.0 * w)))
+        s_x = F(float(noise.position_omega(axis, w)))
+        w2 = F(w) * F(w)
+        out.append((PI * w2 / 8 * s_k, PI / (2 * HBAR_) * F(cfg.species.mass_kg) * w2 * F(w) * s_x,
+                    s_k, w2 * s_x))
+    return out
 
 
-def oracle_axis_jump_rate(omega_rad_s, mass_kg, s_k_omega, s_x_omega, n):
-    intensity = math.pi * omega_rad_s ** 2 / 8.0 * s_k_omega * ((n + 1) ** 2 - n)
-    pointing = math.pi / (2.0 * HBAR) * mass_kg * omega_rad_s ** 3 * s_x_omega * (2 * n + 1)
-    return intensity + pointing
+def exact_nbars(cfg, temperature_k):
+    """Per axis max(0, x - 1/2), x = kB T / (2 hbar omega), and its bound: three
+    roundings in x, one in the difference, relative to x + 1/2."""
+    kt = KB * F(temperature_k)
+    xs = [kt / d for d in trap_parts(cfg).two_hbar_ws]
+    return [(max(F(0), x - F(1, 2)), gamma(4) * (x + F(1, 2))) for x in xs]
 
 
-def oracle_total_jump_rate(cfg, noise, occ):
-    s_k, s_x = oracle_spectra(noise, cfg.omegas)
-    return oracle_axis_jump_rate(cfg.omegas, cfg.species.mass_kg, s_k, s_x,
-                                 occ.numbers).tolist()
+def exact_dls(cfg, occ):
+    """(dls_mean, its bound), (dls_sigma, its bound).
+
+    dls_mean = -eta U0 / hbar + (eta / 2) sum_q (n_q + 1/2) omega_q. The depth
+    term takes eta U0, / hbar and the sum: 3; a phonon term its product, two of
+    the three additions, the product with eta / 2 and the sum: 5. dls_sigma
+    has eta / 4 for eta / 2, then sigma_P / P0 and the product with it: 7. Each
+    bound is relative to the sum of the terms' magnitudes."""
+    t = trap_parts(cfg)
+    phonon = t.eta * sum(F(2 * n + 1, 2) * w for n, w in zip((occ.n_x, occ.n_y, occ.n_z), t.ws))
+    mean, sigma = t.depth + phonon / 2, t.depth + phonon / 4
+    return ((mean, gamma(5) * (abs(t.depth) + phonon / 2)),
+            (sigma * t.rel, gamma(7) * (abs(t.depth) + phonon / 4) * t.rel))
 
 
-def oracle_classical_thermal_rate(cfg, noise, temperature_k):
-    kt = BOLTZMANN * temperature_k
-    s_k, s_x = oracle_spectra(noise, cfg.omegas)
-    intensity = math.pi / (8.0 * HBAR ** 2) * (kt / 2.0) ** 2 * s_k.sum()
-    pointing = (math.pi / (2.0 * HBAR ** 2) * cfg.species.mass_kg * kt
-                * (cfg.omegas ** 2 * s_x).sum())
-    return intensity + pointing
+def exact_thermal_average_dls_sigma(cfg, nbars):
+    """Q**2 = M**2 + V, M = dls_sigma at the mean occupations and V its variance,
+    and the bound on the square of the kernel's result Q', compared exactly,
+    with no square root.
+
+    M: the depth term takes eta U0, / hbar, the sum with the omega terms, the
+    product with rel and rel's own rounding, then the three additions of the
+    slopes times nbar: 8; an omega term two sums, its product with eta / 8 and
+    the same four: 9; a slope term rel, eta, omega, nbar and three additions: 7.
+    So |M' - M| <= gamma(9) S, S the sum of the magnitudes, and its square is
+    within gamma(19) S**2. V: a squared slope 7, nbar (nbar + 1) 2, their
+    product 1 and two additions: gamma(12) V. With the last addition, the
+    argument of the square root is within D = gamma(20) (S**2 + V) of Q**2, and
+    the root's own rounding puts Q'**2 within gamma(2) (Q**2 + D) of it."""
+    t = trap_parts(cfg)
+    shift = sum(s * n for s, n in zip(t.slopes, nbars))
+    mean, scale = t.base + shift, t.base_scale + shift
+    var = sum(s * s * n * (n + 1) for s, n in zip(t.slopes, nbars))
+    square, spread = mean * mean + var, gamma(20) * (scale * scale + var)
+    return square, spread + gamma(2) * (square + spread)
 
 
-def oracle_thermal_average_pjr(cfg, noise, dist):
-    s_k, s_x = oracle_spectra(noise, cfg.omegas)
-    omega, m1 = cfg.omegas, dist.means
-    m2 = 2.0 * m1 * m1 + m1
-    intensity = math.pi * omega ** 2 / 8.0 * s_k * (m2 + m1 + 1.0)
-    pointing = (math.pi / (2.0 * HBAR) * cfg.species.mass_kg * omega ** 3
-                * s_x * (2.0 * m1 + 1.0))
-    return (intensity + pointing).sum()
+def exact_total_jump_rate(cfg, noise, occ):
+    """Per axis a ((n + 1)**2 - n) + b (2 n + 1) and its bound. a: omega**2, pi
+    times it, S_k: 3, and the product with the level factor; b: pi / (2 hbar), M,
+    the cube (2), their product and S_x: 6, and the product with 2 n + 1; then
+    the sum: 8. Both terms are nonnegative."""
+    return [(a * ((n + 1) ** 2 - n) + b * (2 * n + 1), gamma(8))
+            for (a, b, _, _), n in zip(coefficients(cfg, noise), (occ.n_x, occ.n_y, occ.n_z))]
 
 
-def same(got, want):
-    """Equal bytes: == and the same sign of zero."""
-    return got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+def exact_classical_thermal_rate(cfg, noise, temperature_k):
+    """The rate and its relative bound. Intensity: pi / (8 hbar hbar) 2,
+    (kB T)**2 3, their product, the product with sum_k and two additions in it:
+    9, then the sum with pointing: 10. Pointing: pi / (2 hbar hbar) 2, M 1,
+    kB T 2, the product with sum_x 1, a term of sum_x (omega omega S_x) 2 and two
+    additions in it: 10, then the sum: 11. All terms are positive."""
+    kt = KB * F(temperature_k)
+    intensity, pointing = classical_parts(cfg, noise)
+    return intensity * (kt / 2) ** 2 + pointing * kt, gamma(11)
 
 
-def test_axis_kernels_keep_the_bytes_of_the_numpy_forms():
+@functools.lru_cache(maxsize=64)
+def classical_parts(cfg, noise):
+    """pi / (8 hbar**2) sum_q S_k(2 omega_q) and
+    pi M / (2 hbar**2) sum_q omega_q**2 S_x(omega_q), exactly."""
+    parts = coefficients(cfg, noise)
+    return (PI / (8 * HBAR_ * HBAR_) * sum(p[2] for p in parts),
+            PI / (2 * HBAR_ * HBAR_) * F(cfg.species.mass_kg) * sum(p[3] for p in parts))
+
+
+def exact_thermal_average_pjr(cfg, noise, nbars):
+    """sum_q a (E[n^2] + E[n] + 1) + b (2 E[n] + 1), with E[n] = nbar and
+    E[n^2] = 2 nbar^2 + nbar, so that a's factor is 2 nbar (nbar + 1) + 1, and
+    its relative bound. a 3, m2 = 2 nbar nbar + nbar 2 and (m2 + m1) + 1 2, the
+    product: 8; b 6, 2 m1 + 1 1, the product: 8; the sum of a's and b's parts,
+    and two of the three additions over the axes: 11. All terms are
+    nonnegative."""
+    return sum(a * (2 * n * (n + 1) + 1) + b * (2 * n + 1)
+               for (a, b, _, _), n in zip(coefficients(cfg, noise), nbars)), gamma(11)
+
+
+def test_axis_kernels_within_their_rounding_bounds():
     rng = np.random.default_rng(22)
     traps = [TrapConfig.load_preset(p) for p in ("cs133", "bbt780")]
     springs = [NoiseSpectrum.load_preset(s) for s in SPRINGS]
@@ -120,25 +185,29 @@ def test_axis_kernels_keep_the_bytes_of_the_numpy_forms():
         temperature = float(np.exp(rng.uniform(math.log(0.5e-6), math.log(1e-3))))
         occ = FixedOccupation(*(int(n) for n in rng.integers(0, 31, 3)))
         dist = ThermalOccupation.from_temperature(temperature, cfg)
-        want_dist = ThermalOccupation(*oracle_nbars(temperature, cfg))
-        pairs = [
-            ("from_temperature", [dist.nbar_x, dist.nbar_y, dist.nbar_z],
-             [want_dist.nbar_x, want_dist.nbar_y, want_dist.nbar_z]),
-            ("dls_mean", [dls_mean(cfg, occ)], [oracle_dls_mean(cfg, occ)]),
-            ("dls_sigma", [dls_sigma(cfg, occ)], [oracle_dls_sigma(cfg, occ)]),
-            ("thermal_average_dls_sigma", [thermal_average_dls_sigma(cfg, dist)],
-             [oracle_thermal_average_dls_sigma(cfg, want_dist)]),
-            ("total_jump_rate", list(dataclasses.astuple(total_jump_rate(cfg, noise, occ))),
-             oracle_total_jump_rate(cfg, noise, occ)),
-            ("classical_thermal_rate", [classical_thermal_rate(cfg, noise, temperature)],
-             [oracle_classical_thermal_rate(cfg, noise, temperature)]),
-            ("thermal_average_pjr", [thermal_average_pjr(cfg, noise, dist)],
-             [oracle_thermal_average_pjr(cfg, noise, want_dist)]),
-        ]
-        for name, got, want in pairs:
-            if not all(same(g, w) for g, w in zip(got, want)):
-                wrong.append((name, case, got, want))
-    assert not wrong, f"{len(wrong)} results moved, first: {wrong[:3]}"
+        nbars = [F(n) for n in (dist.nbar_x, dist.nbar_y, dist.nbar_z)]
+        checks = [("from_temperature", float(got), *want)
+                  for got, want in zip(nbars, exact_nbars(cfg, temperature))]
+        (mean, mean_bound), (sigma, sigma_bound) = exact_dls(cfg, occ)
+        checks += [("dls_mean", dls_mean(cfg, occ), mean, mean_bound),
+                   ("dls_sigma", dls_sigma(cfg, occ), sigma, sigma_bound)]
+        want, rel = exact_classical_thermal_rate(cfg, noise, temperature)
+        checks.append(("classical_thermal_rate", classical_thermal_rate(cfg, noise, temperature),
+                       want, rel * want))
+        want, rel = exact_thermal_average_pjr(cfg, noise, nbars)
+        checks.append(("thermal_average_pjr", thermal_average_pjr(cfg, noise, dist), want,
+                       rel * want))
+        for got, (want, rel) in zip(dataclasses.astuple(total_jump_rate(cfg, noise, occ)),
+                                    exact_total_jump_rate(cfg, noise, occ)):
+            checks.append(("total_jump_rate", got, want, rel * want))
+        for name, got, want, bound in checks:
+            if not abs(F(got) - want) <= bound:
+                wrong.append((name, case, got, float(want)))
+        square, bound = exact_thermal_average_dls_sigma(cfg, nbars)
+        got = F(thermal_average_dls_sigma(cfg, dist))
+        if not abs(got * got - square) <= bound:
+            wrong.append(("thermal_average_dls_sigma", case, float(got), math.sqrt(square)))
+    assert not wrong, f"{len(wrong)} results outside their bounds, first: {wrong[:3]}"
 
 
 def test_axis_kernels_return_python_floats():

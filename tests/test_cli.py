@@ -31,16 +31,20 @@ def run_cli(*args, cwd, env_extra=None, stdout=subprocess.PIPE):
     whatever ``TRAPCOH_OUTDIR`` the caller has; ``env_extra`` overrides.
     stdout is captured unless given an open file.
     """
+    env = {**package_env(), "TRAPCOH_OUTDIR": str(cwd), **(env_extra or {})}
+    return subprocess.run(
+        [sys.executable, "-m", "trapcoh", *map(str, args)],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd, env=env)
+
+
+def package_env():
+    """This process's environment with the imported package's directory first on
+    PYTHONPATH."""
     env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(os.path.abspath(trapcoh.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
-    env["TRAPCOH_OUTDIR"] = str(cwd)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(
-        [sys.executable, "-m", "trapcoh", *map(str, args)],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, cwd=cwd, env=env)
+    return env
 
 
 def write_series(path, series):
@@ -465,6 +469,60 @@ def test_estimate_rates_hot_atom(capsys):
     thermal = json.loads(capsys.readouterr().out)["thermal"]
     for key in ("classical_per_s", "exact_average_per_s"):
         assert math.isfinite(thermal[key]) and thermal[key] > 0.0
+
+
+def test_non_finite_config_field_exit_2(tmp_path, capsys):
+    # json reads NaN, Infinity and -Infinity: each trap-config field refuses them
+    base = io.read_preset("cs133")
+    for k, field in enumerate(base):
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps({**base, field: (math.nan, math.inf, -math.inf)[k % 3]}))
+        for argv in (["estimate-rates", "--spring-psd", "rin_40db", "--occupation", "3,4,5"],
+                     ["simulate", "--n-traj", "100", "--points", "3", "--outdir", str(tmp_path)]):
+            assert cli.main([*argv, "--config", str(path)]) == 2, field
+            assert assert_error_only(*capsys.readouterr())["kind"] == "domain_error"
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".json"] * len(base)
+
+
+def numpy_cpu():
+    """(CPU features numpy detected, the targets it dispatches to at run time)."""
+    from numpy._core import _multiarray_umath as umath
+    return umath.__cpu_features__, umath.__cpu_dispatch__
+
+
+@pytest.mark.skipif(not numpy_cpu()[0].get("AVX512F"),
+                    reason="numpy reports no AVX512F: both runs would dispatch alike")
+def test_budget_bytes_do_not_depend_on_simd_dispatch(tmp_path):
+    # the budget kernels run on Python floats and math, so a child that numpy
+    # dispatches as on a CPU without AVX-512 must print the same bytes
+    avx512 = " ".join(f for f in numpy_cpu()[1] if f == "X86_V4" or f.startswith("AVX512"))
+    rng = np.random.default_rng(33)
+    base = io.read_preset("cs133")
+    position = tmp_path / "position.json"
+    position.write_text(json.dumps({"kind": "position",
+                                    "samples": [[1e2, 1e-24], [1e4, 3e-26], [1e6, 1e-27]]}))
+    argvs = []
+    for k in range(40):
+        cfg = {**base, **{name: base[name] * 10.0 ** rng.uniform(-0.5, 0.5)
+                          for name in ("omega_x_rad_s", "omega_y_rad_s", "omega_z_rad_s")}}
+        (tmp_path / f"trap{k}.json").write_text(json.dumps(cfg))
+        argvs.append(["estimate-rates", "--config", str(tmp_path / f"trap{k}.json"),
+                      "--spring-psd", "rin_40db", "--position-psd", str(position),
+                      "--occupation", "3,4,5", "--temperature", "2e-5"])
+    script = ("import json, sys\nfrom trapcoh import cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert cli.main(argv) == 0\n    sys.stdout.write('\\0')\n")
+    env = package_env()
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    docs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": avx512}):
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], cwd=tmp_path,
+                              env={**env, **extra}, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        docs.append(proc.stdout.split("\0")[:-1])
+    assert len(docs[0]) == len(docs[1]) == 40
+    moved = [argv[2] for argv, a, b in zip(argvs, *docs) if a != b]
+    assert not moved, f"{len(moved)} of 40 configs print other bytes without AVX-512: {moved}"
 
 
 def test_fit_ramsey_fits_decay_once(tmp_path, monkeypatch, capsys):

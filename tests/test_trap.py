@@ -21,7 +21,10 @@ from trapcoh import (
     dls_sigma,
     effective_detuning,
     eta_from_detuning,
+    intensity_jump_rate,
     mean_phonon_number,
+    pointing_jump_rate,
+    survival_probability,
     thermal_average_dls_sigma,
     thermal_moments,
     thermal_probability,
@@ -83,6 +86,37 @@ def test_config_validation():
     # the Gaussian power model needs sigma_P well below P0
     with pytest.raises(DomainError):
         toy_config(sigma_p_watt=0.011)
+
+
+CONFIG_FIELDS = ("mass_kg", "omega_hfs_rad_s", "gamma_rad_s", "eta", "u0_joule",
+                 "omega_x_rad_s", "omega_y_rad_s", "omega_z_rad_s", "p0_watt", "sigma_p_watt")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", CONFIG_FIELDS)
+def test_config_fields_must_be_finite(field, bad):
+    # json reads NaN and Infinity: no field of a trap config may take them,
+    # whatever its sign rule (u0_joule may have either sign)
+    obj = {**toy_config().to_json_obj(), field: bad}
+    with pytest.raises(DomainError):
+        TrapConfig.from_json_obj(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_domain_checks_fail_nan_and_inf(bad):
+    calls = [lambda: thermal_moments(bad), lambda: thermal_probability(bad, 2),
+             lambda: thermal_probability(1.0, bad),
+             lambda: mean_phonon_number(1e-5, bad),
+             lambda: intensity_jump_rate(1e5, bad, 3, 2),
+             lambda: intensity_jump_rate(1e5, 1e-12, bad, 2),
+             lambda: pointing_jump_rate(1e5, 1e-25, bad, 3, 1),
+             lambda: pointing_jump_rate(1e5, 1e-25, 1e-25, bad, 1),
+             lambda: survival_probability(bad, 1.0), lambda: survival_probability(1.0, bad),
+             lambda: eta_from_detuning(1.0, bad), lambda: eta_from_detuning(bad, 1.0)]
+    for k, call in enumerate(calls):
+        with pytest.raises(DomainError):
+            call()
+            pytest.fail(f"call {k} accepted {bad}")
 
 
 def test_config_round_trip(tmp_path):

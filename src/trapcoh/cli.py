@@ -427,7 +427,11 @@ def main(argv=None) -> int:
 def run():
     """Entry point of `python -m trapcoh` and the console script: main, a flush
     of stderr, then os._exit with main's code. The process skips interpreter
-    teardown, so atexit hooks do not run; call main in process for those."""
+    teardown, so atexit hooks do not run; call main in process for those.
+    OpenBLAS runs on one thread unless OPENBLAS_NUM_THREADS says otherwise, so
+    seeded outputs do not depend on the core count; main and the library leave
+    the variable alone."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before any command imports numpy
     code = main()  # which has flushed all it wrote to stdout, or failed
     with contextlib.suppress(OSError):  # a broken stderr has nothing left to report on
         sys.stderr.flush()

@@ -207,9 +207,12 @@ def _lm_run(residuals, normal, x0, x1, point):
 
 def _levenberg_marquardt(residuals, basis, starts, absolute, failure):
     """(x, rss, covariance of x, evaluations) of the lowest-cost run that
-    converges from `starts`; FitConvergenceError(failure) if none. residuals(x0,
-    x1) is (m, f, d0, d1), f the residuals with Jacobian diag(m) basis^T diag(d0,
-    d1). A trial step that overflows gives an inf f.f, which LM rejects; starts
+    converges from `starts`, where a later run beats an earlier one only by a
+    cost lower beyond the rounding of the two (2 _FLOOR f.f), so a tie in the
+    last bits goes to the earlier start at every weight scale;
+    FitConvergenceError(failure) if none converges. residuals(x0, x1) is
+    (m, f, d0, d1), f the residuals with Jacobian diag(m) basis^T diag(d0, d1).
+    A trial step that overflows gives an inf f.f, which LM rejects; starts
     with non-finite residuals are skipped. The ranking, the rss and the
     covariance run under the same error state as LM, so a J^T J that overflows
     is inf, in the library and under the CLI's "raise" alike."""
@@ -230,7 +233,11 @@ def _levenberg_marquardt(residuals, basis, starts, absolute, failure):
         converged = [run for run in runs if run is not None]
         if not converged:
             raise FitConvergenceError(failure)
-        x0, x1, rss, a00, a01, a11, nfev = min(converged, key=lambda run: run[2])  # first of equal
+        best = converged[0]
+        for run in converged[1:]:
+            if best[2] - run[2] > 2.0 * _FLOOR * best[2]:
+                best = run
+        x0, x1, rss, a00, a01, a11, nfev = best
         cov = _covariance(np.array([[a00, a01], [a01, a11]]), rss, basis.shape[1], absolute)
         return np.array([x0, x1]), rss, cov, nfev
 

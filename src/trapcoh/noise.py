@@ -57,7 +57,7 @@ class NoiseSpectrum:
     (log f, log S); outside the sampled range the nearest sample is held.
     Segments with a zero-valued endpoint interpolate the PSD linearly
     against log f instead (log of zero is undefined), which preserves
-    nonnegativity. The knots are kept once, at construction, as Python floats.
+    nonnegativity. Both lookups read one knot table: log f, S and log S (NaN at S = 0).
     """
 
     kind: str
@@ -79,15 +79,13 @@ class NoiseSpectrum:
             raise DomainError("spectrum kind must be a non-empty string")
         object.__setattr__(self, "frequencies_hz", f)
         object.__setattr__(self, "psd", p)
-        # the knots once, as Python floats: log f, S, and log S (None where S = 0)
+        # the knots once, as Python floats: log f, S, and log S (NaN where S = 0);
+        # log f and log S also as one array, which np.interp would convert per call
         object.__setattr__(self, "_log_f", tuple(map(math.log, f.tolist())))
         object.__setattr__(self, "_s", tuple(p.tolist()))
-        object.__setattr__(self, "_log_s", tuple(math.log(v) if v > 0 else None for v in self._s))
-        # for arrays, S and log S (NaN at zero samples, and so on every segment
-        # with a zero endpoint) as real and imaginary parts, for one np.interp
-        table = p.astype(complex)
-        table.imag = [math.nan if v is None else v for v in self._log_s]
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_log_s", tuple(math.log(v) if v else math.nan for v in self._s))
+        object.__setattr__(self, "_knots", np.array([self._log_f, self._log_s]))
+        object.__setattr__(self, "_has_zero", 0.0 in self._s)
 
     @classmethod
     def zero(cls, kind=SPRING_FRACTIONAL):
@@ -115,10 +113,11 @@ class NoiseSpectrum:
 
     def _at_log(self, log_f):
         """S at frequencies given by their natural log, unchecked."""
-        both = np.interp(log_f, self._log_f, self._table)
-        # where a zero sample ends the segment (or is held), log S is NaN and
-        # fmax takes the linear value; elsewhere the linear term is 0
-        return np.fmax(np.exp(both.imag), both.real * np.isnan(both.imag))
+        s = np.exp(np.interp(log_f, *self._knots))
+        if self._has_zero:  # log S is NaN on zero-ended segments and held zero ends,
+            # where S is linear in log f, as in _at_log_scalar ([()]: a scalar stays one)
+            s = np.where(np.isnan(s), np.interp(log_f, self._knots[0], self.psd), s)[()]
+        return s
 
     def _at_log_scalar(self, x):
         """S at log f = x, unchecked: the end sample beyond the knots, else
@@ -130,7 +129,7 @@ class NoiseSpectrum:
             return s[max(j - 1, 0)]
         i = j - 1
         w = (x - log_f[i]) / (log_f[j] - log_f[i])
-        if log_s[i] is None or log_s[j] is None:
+        if math.isnan(log_s[i]) or math.isnan(log_s[j]):
             return s[i] + w * (s[j] - s[i])
         return math.exp(log_s[i] + w * (log_s[j] - log_s[i]))
 

@@ -159,6 +159,13 @@ def _coefficients(omega_rad_s, mass_kg, s_k_omega, s_x_omega):
 
 def axis_jump_rate(omega_rad_s, mass_kg, s_k_omega, s_x_omega, n) -> float:
     """Total leaving rate from level n on one axis (1/s)."""
+    # written so that NaN fails the comparisons as well
+    if not (0.0 < omega_rad_s < math.inf and 0.0 < mass_kg < math.inf):
+        raise DomainError("trap frequency and mass must be positive and finite")
+    if not 0 <= n < math.inf or int(n) != n:
+        raise DomainError("phonon number must be a nonnegative integer")
+    if not (0.0 <= s_k_omega < math.inf and 0.0 <= s_x_omega < math.inf):
+        raise DomainError("PSD values must be finite and nonnegative")
     a, b = _coefficients(omega_rad_s, mass_kg, s_k_omega, s_x_omega)
     return a * ((n + 1) * (n + 1) - n) + b * (2 * n + 1)
 

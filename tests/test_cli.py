@@ -525,6 +525,38 @@ def test_budget_bytes_do_not_depend_on_simd_dispatch(tmp_path):
     assert not moved, f"{len(moved)} of 40 configs print other bytes without AVX-512: {moved}"
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: OpenBLAS runs one thread")
+def test_cli_pins_openblas_to_one_thread(tmp_path):
+    # OpenBLAS splits simulate's larger uniform-grid products over its threads,
+    # which moves last digits; the CLI runs one thread unless the user says otherwise
+    argv = ("simulate", "--sigma-dls", "15.0", "--pjr", "5.14", "--points", "400",
+            "--n-traj", "20000", "--seed", "3")
+    written = []
+    for threads in (None, "1"):
+        out = tmp_path / str(threads)
+        out.mkdir()
+        env = package_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-m", "trapcoh", *argv, "--outdir", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        written.append((out / "montecarlo.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_cli_keeps_a_users_openblas_setting(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(os.environ.get("OPENBLAS_NUM_THREADS")))
+    monkeypatch.setattr(cli.os, "_exit", lambda code: None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    cli.run()
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")  # restored to the caller's value at teardown
+    cli.run()
+    assert seen == ["2", "1"]
+
+
 def test_fit_ramsey_fits_decay_once(tmp_path, monkeypatch, capsys):
     path = tmp_path / "ramsey.csv"
     write_series(path, analytic_series(DecayParams(200.0, 3.0), np.linspace(0.0, 0.01, 14)))

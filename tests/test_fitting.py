@@ -391,6 +391,22 @@ def test_large_weights_fit_to_the_optimum(scale):
         assert got.rss == pytest.approx(ref.rss / scale ** 2, rel=1e-9), name
 
 
+def test_decay_fit_keeps_the_first_of_runs_that_tie_within_rounding():
+    # the bundled table's starts all land on one point, at costs that differ in
+    # the last bits; a later run wins only where its cost is lower beyond the
+    # rounding of the two, so sigma times any scale reports the same run
+    series = bundled_series()
+    ref = fit_coherence_decay(series.t_s, series.coherence, sigma=series.sigma)
+    assert ref.n_iter == 10
+    for scale in (1e-78, 1e150, 2.0 ** 300, 2.0 ** -300):
+        got = fit_coherence_decay(series.t_s, series.coherence, sigma=series.sigma * scale)
+        assert got.n_iter == ref.n_iter, scale
+        for key, value in ref.params.items():
+            assert got.params[key] == pytest.approx(value, rel=1e-12, abs=0.0), (scale, key)
+        if math.frexp(scale)[0] == 0.5:  # a power of two: the same fit, bit for bit
+            assert got.params == ref.params
+
+
 @pytest.mark.parametrize("k", [1e-170, 1.0, 1e3, 1e150])
 def test_decay_fit_lands_on_the_stationary_point(k):
     # the end game takes Gauss-Newton steps while they shrink, so the fit ends

@@ -65,6 +65,9 @@ def test_transition_validation():
         pointing_jump_rate(OMEGA, CS133_MASS, S_X, 1, 2)
     with pytest.raises(DomainError):
         pointing_jump_rate(OMEGA, CS133_MASS, S_X, 1.5, 1)
+    for n in (-1, 1.5):
+        with pytest.raises(DomainError):
+            axis_jump_rate(1e5, 1e-25, 1e-12, 1e-25, n)
 
 
 def test_axis_rate_is_transition_sum():

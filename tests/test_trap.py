@@ -15,6 +15,7 @@ from trapcoh import (
     FixedOccupation,
     ThermalOccupation,
     TrapConfig,
+    axis_jump_rate,
     cesium_eta,
     cesium_species,
     dls_mean,
@@ -111,6 +112,11 @@ def test_domain_checks_fail_nan_and_inf(bad):
              lambda: intensity_jump_rate(1e5, 1e-12, bad, 2),
              lambda: pointing_jump_rate(1e5, 1e-25, bad, 3, 1),
              lambda: pointing_jump_rate(1e5, 1e-25, 1e-25, bad, 1),
+             lambda: axis_jump_rate(bad, 1e-25, 0.0, 0.0, 3),
+             lambda: axis_jump_rate(1e5, bad, 0.0, 0.0, 3),
+             lambda: axis_jump_rate(1e5, 1e-25, bad, 0.0, 3),
+             lambda: axis_jump_rate(1e5, 1e-25, 0.0, bad, 3),
+             lambda: axis_jump_rate(1e5, 1e-25, 0.0, 0.0, bad),
              lambda: survival_probability(bad, 1.0), lambda: survival_probability(1.0, bad),
              lambda: eta_from_detuning(1.0, bad), lambda: eta_from_detuning(bad, 1.0)]
     for k, call in enumerate(calls):

@@ -58,11 +58,12 @@ class FitResult:
 
     rss is the sum of squared residuals in the metric the optimizer
     minimized (whitened when per-point uncertainties were supplied).
-    covariance (rows and columns in params order) serves error propagation;
-    fitted is the model at the data points, in their order. Neither is in
-    the JSON form. n_iter counts solver evaluations (0 for fringes). An rss
-    or an uncertainty that is not finite raises TrapcohError (non_finite),
-    as the CLI refuses it, whatever numpy's error state.
+    covariance, that of params (rows and columns in params order), is
+    carried by every fit and serves error propagation; fitted is the model
+    at the data points, in their order. Neither is in the JSON form. n_iter
+    counts solver evaluations (0 for fringes). An rss or an uncertainty
+    that is not finite raises TrapcohError (non_finite), as the CLI refuses
+    it, whatever numpy's error state.
     """
 
     model: str
@@ -242,16 +243,20 @@ def _levenberg_marquardt(residuals, basis, starts, absolute, failure):
         return np.array([x0, x1]), rss, cov, nfev
 
 
-def _result(model, params, cov_x, rss, n_iter, fitted, scale, e):
+def _result(model, params, cov_x, rss, n_iter, fitted, scale, e, rows=None):
     """FitResult from the rss and covariance `cov_x` of the solver's x for the weights
-    2**-e / sigma (rows in `params` order; scale[i] = d params[i] / d x_i): uncertainties
-    2**-e |scale| sqrt(diag(cov_x)), taken before any square, so they stay finite at time
-    and weight scales where the covariance of params does not, and rss 2**(2 e) rss."""
+    2**-e / sigma (rows in `params` order; d params[i] / d x = scale[i] rows[i], rows
+    the identity unless given): uncertainties 2**-e |scale| sqrt(diag(rows cov_x rows^T)),
+    taken before any square of scale, so they stay finite at time and weight scales where
+    the covariance of params does not, and rss 2**(2 e) rss."""
     scale = np.asarray(scale)
     # at a tiny time scale the variances exceed the float range; an uncertainty
     # or rss that does too is inf, which FitResult refuses
     with np.errstate(over="ignore"):
-        err = np.ldexp(np.abs(scale) * np.sqrt(np.diag(cov_x)), -e)
+        if rows is not None:
+            cov_x = np.asarray(rows) @ cov_x @ np.asarray(rows).T
+        # a variance of a combination of x that rounds below 0 is 0
+        err = np.ldexp(np.abs(scale) * np.sqrt(np.maximum(np.diag(cov_x), 0.0)), -e)
         cov = np.ldexp(scale[:, None] * cov_x * scale, -2 * e)
         rss = float(np.ldexp(rss, 2 * e))
     return FitResult(model, {name: float(value) for name, value in params.items()},
@@ -296,31 +301,20 @@ def fit_fringe(phases_rad, population, sigma=None) -> FitResult:
 def _scaled_starts(tau, y, w):
     """LM starts (s, v) in scaled time, with s**2 / 2 and v**2 floored at 0.1.
 
-    (a) The weighted NNLS fit of log C = -(s**2 / 2) tau**2 - v**2 tau to the
-    points with C > 0.05, weights C / sigma_i (delta method): the best
-    nonnegative solution over the active sets. (b) The 1/e time at the first
-    crossing of C = 1/e, shared by both channels, and (c) from R alone.
+    (a) The weighted least-squares fit of log C = -(s**2 / 2) tau**2 - v**2 tau
+    to the points with C > 0.05, weights C / sigma_i (delta method), solved by
+    Cramer's rule and clipped at the floors; a singular system starts on the
+    floors. (b) The 1/e time at the first crossing of C = 1/e, shared by both
+    channels, and (c) from R alone.
     """
     keep = y > 0.05
     wy = (w * y)[keep] / np.max(w * y, where=keep, initial=0.0)  # at most 1: no overflow
     u = tau[keep] * wy
     rows = np.array([tau[keep] * u, u, -np.log(y[keep]) * wy])  # the design's columns, the rhs
     (a00, a01, b0), (_, a11, b1), _ = (rows @ rows.T).tolist()
-    # NNLS from the normal equations: both columns when that solution is nonnegative
-    # (no subset fits better), else the one column that lowers the cost more, by
-    # b**2 / a (the first of equal), whose solution b / a is nonnegative
     det = a00 * a11 - a01 * a01
-    pair = [(a11 * b0 - a01 * b1) / det, (a00 * b1 - a01 * b0) / det] if det > 0.0 else [-1.0]
-    if min(pair) >= 0.0:
-        coef = pair
-    else:
-        singles = [(0.0, [0.0, 0.0])]
-        if b0 >= 0.0 and a00 > 0.0:
-            singles.append((b0 * b0 / a00, [b0 / a00, 0.0]))
-        if b1 >= 0.0 and a11 > 0.0:
-            singles.append((b1 * b1 / a11, [0.0, b1 / a11]))
-        coef = max(singles, key=lambda single: single[0])[1]
-    gauss, rate = max(coef[0], 0.1), max(coef[1], 0.1)
+    gauss, rate = ((max((a11 * b0 - a01 * b1) / det, 0.1), max((a00 * b1 - a01 * b0) / det, 0.1))
+                   if det > 0.0 else (0.1, 0.1))
 
     order = np.argsort(tau)
     ts, ys = tau[order].tolist(), y[order]
@@ -455,15 +449,11 @@ def fit_ramsey_decay(series, eta) -> FitResult:
     # divided as numpy floats, as fit_coherence_decay does, so an overflow raises under "raise"
     params = DecayParams(*(float(np.float64(x) / t_max) for x in tau_params))
     t2star = t2_time(params)
-    with np.errstate(over="ignore"):  # an inf error or rss, which FitResult refuses
-        # d t2 / d(s, v) = d t2 / d(sigma, R) in tau units times (sign s, 2 v)
-        grad = np.array(t2_gradient(DecayParams(*tau_params))) * (math.copysign(1.0, s), 2.0 * v)
-        t2_err = float(np.ldexp(math.sqrt(max(float(grad @ cov_sv @ grad), 0.0)), -e)) * t_max
-        rss = float(np.ldexp(rss, 2 * e))
     temperature = temperature_from_ramsey_t2star(t2star, eta)
-    return FitResult(
-        model="ramsey_decay",
-        params={"t2star_s": float(t2star), "temperature_k": float(temperature)},
-        uncertainties={"t2star_s": float(t2_err),
-                       "temperature_k": float(temperature * t2_err / t2star)},
-        rss=rss, n_iter=nfev, fitted=coherence(params, series.t_s))
+    # d t2 / d(s, v) = d t2 / d(sigma, R) in tau units times (sign s, 2 v), where
+    # T2* = t_max t2 and, T being proportional to 1 / T2*, d T / d t2 = -T / t2
+    in_tau = DecayParams(*tau_params)
+    grad = np.array(t2_gradient(in_tau)) * (math.copysign(1.0, s), 2.0 * v)
+    return _result("ramsey_decay", {"t2star_s": t2star, "temperature_k": temperature},
+                   cov_sv, rss, nfev, coherence(params, series.t_s),
+                   (t_max, -temperature / t2_time(in_tau)), e, (grad, grad))

@@ -222,13 +222,14 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
 
     Welch's estimator (IEEE Trans. Audio Electroacoust. 15, 70 (1967)):
     segments of `segment_length` samples overlapping by
-    round(overlap * segment_length), each less its own mean (of the samples
-    after _scaled_down) times w / mean, w the periodic Hann window (the one
-    place the 1/mean is applied), averaged |rfft|^2 scaled to a one-sided
-    density by 2 / (fs sum w^2) (Heinzel, Ruediger & Schilling, "Spectrum
-    and spectral density estimation by the DFT", 2002); the Nyquist bin of
-    an even segment is not doubled. Blocks of _BLOCK_ELEMENTS samples sum to the
-    bytes of the one-array form at any number of segments.
+    round(overlap * segment_length), of the samples after _scaled_down less
+    their mean, each less its own mean times w / mean, w the periodic Hann
+    window (the one place the 1/mean is applied), averaged |rfft|^2 scaled
+    to a one-sided density by 2 / (fs sum w^2) (Heinzel, Ruediger &
+    Schilling, "Spectrum and spectral density estimation by the DFT",
+    2002); the Nyquist bin of an even segment is not doubled. Blocks of
+    _BLOCK_ELEMENTS samples sum to the bytes of the one-array form at any
+    number of segments.
     """
     n = series.samples.size
     segment_length = int(segment_length)
@@ -256,7 +257,10 @@ def estimate_psd(series: TimeSeries, segment_length: int, overlap: float = 0.5,
     power = np.zeros(2 * spectra.shape[1])
     for lo in range(0, len(segments), rows):
         seg = segments[lo:lo + rows]
-        xk = np.subtract(seg, seg.mean(axis=1, keepdims=True), out=x[:len(seg)])
+        # exact by Sterbenz for samples within a factor 2 of the mean, so a segment mean
+        # rounds only the fluctuations, not the level: its rounding would reach bin 1
+        xk = np.subtract(seg, mean, out=x[:len(seg)])
+        xk -= xk.mean(axis=1, keepdims=True)
         xk *= scaled
         v = np.fft.rfft(xk, axis=1, out=spectra[:len(seg)]).view(float)
         v *= v

@@ -49,7 +49,10 @@ def _order(name, computed, expected) -> ReportRow:
                      "within half a decade", ok)
 
 
-def build_report(mc_seed=11, mc_trajectories=100_000):
+MC_TRAJECTORIES = 100_000  # of the Gaussian-channel Monte-Carlo spot check
+
+
+def build_report(mc_seed=11):
     cs = trap.TrapConfig.load_preset("cs133")
     bbt = trap.TrapConfig.load_preset("bbt780")
     rin_free = noise_mod.NoiseSpectrum.load_preset("rin_free")
@@ -106,9 +109,9 @@ def build_report(mc_seed=11, mc_trajectories=100_000):
     rows.append(_rel("scattering_rate_detuning_100", exact, closed, 0.01))
 
     # Monte-Carlo spot check of the Gaussian channel
-    mc = gaussian_channel_mc(1.0, mc_trajectories, mc_seed, np.array([0.0, 1.0]))
+    mc = gaussian_channel_mc(1.0, MC_TRAJECTORIES, mc_seed, np.array([0.0, 1.0]))
     dev = abs(mc.coherence[1] - math.exp(-0.5))
-    bound = 4.0 / math.sqrt(mc_trajectories)
+    bound = 4.0 / math.sqrt(MC_TRAJECTORIES)
     rows.append(ReportRow("gaussian_channel_mc", f"exp(-1/2) +- {bound:.3g}",
                           f"{mc.coherence[1]:.6g}", "within 4/sqrt(n_traj)", dev <= bound))
 

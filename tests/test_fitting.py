@@ -249,10 +249,15 @@ def check_direct_covariance():
     fit = fit_coherence_decay(series)
     grad = np.array(t2_gradient(DecayParams(fit.params["sigma_dls_rad_s"],
                                             fit.params["pjr_per_s"])))
-    t2_err = fit_ramsey_decay(series, ETA_1052).uncertainties["t2star_s"]
+    ramsey = fit_ramsey_decay(series, ETA_1052)
+    t2_err = ramsey.uncertainties["t2star_s"]
     assert t2_err == pytest.approx(math.sqrt(grad @ direct_covariance(series, fit) @ grad),
                                    rel=1e-9)
     assert t2_err == pytest.approx(1.61e-3, rel=1e-2)
+    # its covariance, in params order, carries the printed uncertainties
+    assert ramsey.covariance.shape == (2, 2)
+    np.testing.assert_allclose(np.sqrt(np.diag(ramsey.covariance)),
+                               list(ramsey.uncertainties.values()), rtol=1e-12)
 
 
 def test_decay_replication_scales_uncertainties():
@@ -781,6 +786,49 @@ def test_lm_matches_minpack(monkeypatch, model):
             assert ours.params[name] == pytest.approx(oracle.params[name], rel=1e-7)
             assert ours.uncertainties[name] == pytest.approx(oracle.uncertainties[name],
                                                              rel=1e-7)
+
+
+def heavy_noise_draw(rng):
+    """A heavy-noise decay: 4-11 points over 0.5-4 1/e times, noise sd 0.02-0.3,
+    and in one draw of five a +-5 sd outlier at the first or the last point."""
+    n = int(rng.integers(4, 12))
+    params = DecayParams(math.exp(rng.uniform(math.log(2.0), math.log(40.0))),
+                         math.exp(rng.uniform(math.log(0.5), math.log(20.0))))
+    t = np.linspace(0.0, rng.uniform(0.5, 4.0) * t2_time(params), n)
+    sd = math.exp(rng.uniform(math.log(0.02), math.log(0.3)))
+    c = coherence(params, t) + rng.normal(0.0, sd, n)
+    if rng.random() < 0.2:
+        c[int(rng.integers(2)) * (n - 1)] += rng.choice([-5.0, 5.0]) * sd
+    return t, c, np.full(n, sd)
+
+
+def test_decay_clipped_start_reaches_the_best_known_rss(monkeypatch):
+    # tables whose unconstrained log-linear fit has a negative coefficient, so
+    # that _scaled_starts clips start (a) at a floor: the three starts must reach
+    # the lowest rss MINPACK finds from a 3 x 3 grid over s**2 / 2 and v**2
+    grid = [(math.sqrt(2.0 * a), math.sqrt(r)) for a in (0.1, 3.0, 100.0)
+            for r in (0.1, 3.0, 100.0)]
+    rng = np.random.default_rng(12)
+    clipped = 0
+    for _ in range(100):
+        t, c, sd = heavy_noise_draw(rng)
+        keep = c > 0.05
+        if np.count_nonzero(keep) < 2:
+            continue
+        wy = c[keep] / sd[keep]
+        tau = t[keep] / t.max()
+        pair = np.linalg.lstsq(np.column_stack([tau * tau, tau]) * wy[:, None],
+                               -np.log(c[keep]) * wy, rcond=None)[0]
+        if pair.min() >= 0.0:
+            continue
+        clipped += 1
+        ours = fit_coherence_decay(t, c, sd)
+        with monkeypatch.context() as patch:
+            patch.setattr(fitting, "_levenberg_marquardt", minpack_driver)
+            patch.setattr(fitting, "_scaled_starts", lambda *_: grid)
+            oracle = fit_coherence_decay(t, c, sd)
+        assert ours.rss <= oracle.rss * (1.0 + 1e-9)
+    assert clipped >= 30
 
 
 def test_ramsey_decay_thermometry():

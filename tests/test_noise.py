@@ -466,6 +466,43 @@ def test_estimate_psd_within_its_rounding_bound_of_40_digits(length, overlap):
         assert np.max(np.abs(got - want)) <= bound * top
 
 
+@pytest.mark.parametrize("length", [32, 63])
+@pytest.mark.parametrize("overlap", [0.0, 0.5])
+def test_estimate_psd_bin_1_within_its_rounding_bound(length, overlap):
+    """Bin 1 against Welch's sum in 40 digits, relative to bin 1 itself, for
+    fractional noise sigma_r = 1e-4 .. 1e-8 at a level of 0.02, four segments.
+
+    A segment mean that is off by D moves every sample of the segment by D,
+    and so bin 1 by |W_1| D = (L/4) D, W the DFT of the periodic Hann window.
+    The samples less the trace mean are exact (Sterbenz), so D is the rounding
+    of a mean of L fluctuations, D <= (L/8 + 12) u A in units of the mean, with
+    A = max|x - mean| / mean: 1/A times less than the (L/8 + 12) u of a
+    segment mean taken of the raw samples, which lets bin 1 drift by about
+    u / sigma_r relative. The trace mean's own rounding shifts every sample
+    alike, which each segment's mean removes. With the rounding of y and of
+    the DFT as in the test above, each bin is off by at most
+    d = (L/4) D + (L + 5) u max_seg sum|y_j|, and bin 1 by
+    2 d sqrt(c / want) + c d^2 / want + (n/4 + S + L + 34) u relative,
+    c = 2 / (3L/8) at fs = 1.
+    """
+    u = 2.0 ** -53
+    step = length - round(overlap * length)
+    n = length + 3 * step
+    for e in (4, 6, 8):
+        rng = np.random.default_rng([length, round(10 * overlap), e, 1])
+        samples = 0.02 * (1.0 + 10.0 ** -e * rng.standard_normal(n))
+        got = estimate_psd(TimeSeries(1.0, samples), length, overlap).psd[0]
+        want, segments, abs_sum = welch_40_digits(samples, 1.0, length, overlap)
+        mean = samples.mean()
+        d = ((length / 4) * (length / 8 + 12) * u * float(np.abs(samples - mean).max() / mean)
+             + (length + 5) * u * abs_sum)
+        c = 2.0 / (3.0 * length / 8.0)
+        bound = (2.0 * d * math.sqrt(c / want[0]) + c * d * d / want[0]
+                 + (n / 4 + segments + length + 34) * u)
+        assert segments == 4
+        assert abs(got - want[0]) <= bound * want[0]
+
+
 def test_estimate_psd_memory_bounded_at_high_overlap():
     # 99% overlap makes about 4900 segments of 2048 samples: 80 MB as one array
     series = TimeSeries(1e4, 1.0 + 0.01 * np.random.default_rng(5).standard_normal(100_000))
@@ -480,12 +517,13 @@ def test_estimate_psd_memory_bounded_at_high_overlap():
 
 def one_array_welch(samples, fs, length, overlap):
     """The Welch sum over one (segment x sample) array: the bytes the blocked
-    estimate_psd keeps. Each raw segment less its own mean is multiplied by
-    window / mean, the one place the trace mean enters."""
+    estimate_psd keeps. The samples less their mean are cut into segments, and
+    each segment less its own mean is multiplied by window / mean."""
     step = length - round(overlap * length)
-    seg = np.lib.stride_tricks.sliding_window_view(samples, length)[::step]
+    mean = samples.mean()
+    seg = np.lib.stride_tricks.sliding_window_view(samples - mean, length)[::step]
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
-    x = (seg - seg.mean(axis=1, keepdims=True)) * (window / samples.mean())
+    x = (seg - seg.mean(axis=1, keepdims=True)) * (window / mean)
     spectra = np.fft.rfft(x, axis=1)
     power = (spectra.real ** 2).sum(axis=0) + (spectra.imag ** 2).sum(axis=0)
     pxx = power / len(seg) * (2.0 / (fs * window @ window))
